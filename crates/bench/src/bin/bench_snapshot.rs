@@ -5,11 +5,10 @@
 //! states-per-second throughput for each formula of the Fig. 5a sweep plus an
 //! aggregate, and — with `--sweeps` — the ε sweep of Fig. 5b/5c, the length
 //! sweep of Fig. 5d, the shift-free tax sweep (per-state cost on formulas
-//! with no translatable structure), the Fig. 6 cross-chain protocol lattices
-//! (two-party / three-party swap and auction scenario sets), and the
-//! streaming-pipeline sweep comparing the batch monitor against the
-//! `rvmtl-runtime` [`StreamMonitor`] (sequential and pipelined) on long
-//! multi-query computations. The repository keeps outputs of this tool in
+//! with no translatable structure) and the Fig. 6 cross-chain protocol
+//! lattices (two-party / three-party swap and auction scenario sets).
+//! Streaming throughput (events/s, verdict latency) is measured end to end by
+//! the separate `perfbench` package. The repository keeps outputs of this tool in
 //! `BENCH_1.json` … `BENCH_5.json` so perf-focused PRs have hard
 //! before/after numbers:
 //!
@@ -36,7 +35,7 @@
 //! uninterrupted reference (the CI recovery smoke).
 //!
 //! `--scrape-check <file>` validates a scraped text exposition (as printed
-//! by `examples/streaming.rs` or [`StreamMonitor::telemetry_text`]): every
+//! by `examples/streaming.rs` or [`rvmtl_runtime::StreamMonitor::telemetry_text`]): every
 //! line must parse as `name{labels} value` and the core runtime metric
 //! families must be present (the CI telemetry smoke).
 //!
@@ -54,13 +53,11 @@
 //! ratio. The repository keeps its output in `BENCH_9.json`.
 
 use rvmtl_bench::{
-    blockchain_workloads, default_trace_config, formula, pins, sweep_monitor, sweep_points,
-    synthetic_computation, BLOCKCHAIN_DELTA, BLOCKCHAIN_EPSILON, DEFAULT_SEGMENTS,
+    blockchain_workloads, pins, sweep_monitor, sweep_points, BLOCKCHAIN_DELTA, BLOCKCHAIN_EPSILON,
+    DEFAULT_SEGMENTS,
 };
-use rvmtl_distrib::EventId;
 use rvmtl_monitor::Monitor;
 use rvmtl_monitor::MonitorConfig;
-use rvmtl_runtime::{StreamConfig, StreamMonitor};
 use std::time::Instant;
 
 /// Measurement of monitoring `phi` over `comp`: returns
@@ -94,55 +91,6 @@ fn measure_best(
         }
     }
     (states, best_secs)
-}
-
-/// Wall time of one full streaming run (feed every event in global time
-/// order, then finish), best of `rounds`.
-fn measure_stream(
-    comp: &rvmtl_distrib::DistributedComputation,
-    formulas: &[rvmtl_mtl::Formula],
-    config: &StreamConfig,
-    rounds: usize,
-) -> f64 {
-    let mut events: Vec<EventId> = (0..comp.event_count()).map(EventId).collect();
-    events.sort_by_key(|&id| (comp.event(id).local_time, comp.event(id).process.0));
-    let mut best = f64::MAX;
-    for _ in 0..rounds {
-        let started = Instant::now();
-        let mut monitor = StreamMonitor::new(comp.process_count(), comp.epsilon(), config.clone());
-        for phi in formulas {
-            monitor.add_query(phi);
-        }
-        for &id in &events {
-            let e = comp.event(id);
-            monitor
-                .observe(e.process.0, e.local_time, e.state.clone())
-                .expect("benchmark events are stream-legal");
-        }
-        let _ = monitor.finish();
-        best = best.min(started.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Wall time of the batch reference on the same queries (one `Monitor::run`
-/// per formula — the pre-runtime serving path), best of `rounds`.
-fn measure_batch(
-    comp: &rvmtl_distrib::DistributedComputation,
-    formulas: &[rvmtl_mtl::Formula],
-    segments: usize,
-    rounds: usize,
-) -> f64 {
-    let monitor = Monitor::new(MonitorConfig::with_segments(segments));
-    let mut best = f64::MAX;
-    for _ in 0..rounds {
-        let started = Instant::now();
-        for phi in formulas {
-            let _ = monitor.run(comp, phi);
-        }
-        best = best.min(started.elapsed().as_secs_f64());
-    }
-    best
 }
 
 /// The argument following `flag` (if any, and not itself a flag), or the
@@ -237,13 +185,8 @@ fn run_wire_smoke() -> ! {
         let run = rvmtl_bench::run_wire_replay_case(&case);
         let ok = run.replay_identical() && run.stats.decode_errors == 0;
         eprintln!(
-            "[bench] wire-smoke {} ({}): {} frames, {} wire bytes, {} rejected, {}",
+            "[bench] wire-smoke {}: {} frames, {} wire bytes, {} rejected, {}",
             case.name,
-            if case.pipelined {
-                "pipelined"
-            } else {
-                "sequential"
-            },
             run.stats.frames_total(),
             run.wire_bytes,
             run.stats.rejected,
@@ -733,68 +676,14 @@ fn main() {
         ));
     }
 
-    // The streaming-pipeline sweep: long multi-query computations through the
-    // batch monitor (one run per query — the pre-runtime serving path), the
-    // streaming runtime's sequential path (shared per-segment solver across
-    // queries), and its pipelined path. `workers` documents the measurement
-    // host; on a single-core container the pipelined column measures
-    // scheduling overhead, not speedup.
-    let workers = std::thread::available_parallelism()
+    // The measurement host's core count, recorded with every snapshot.
+    let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut pipeline_rows = Vec::new();
-    if sweeps {
-        let formulas = [formula(3, 2), formula(4, 2)];
-        for length in [200u64, 400, 800] {
-            let mut cfg = default_trace_config();
-            cfg.duration_ms = length;
-            // A skew bound above the default keeps every segment's search
-            // non-trivial, so the sweep measures solver work, not ingestion.
-            cfg.epsilon_ms = 3;
-            let comp = synthetic_computation(4, &cfg);
-            let duration = comp.duration().max(1);
-            let segment_length = (duration / DEFAULT_SEGMENTS as u64).max(1);
-            let batch = measure_batch(&comp, &formulas, DEFAULT_SEGMENTS, 3);
-            let stream_seq =
-                measure_stream(&comp, &formulas, &StreamConfig::new(segment_length), 3);
-            // At least two workers so the pipeline machinery itself is
-            // measured even on a single-core host (oversubscribed there).
-            let stream_pipe = measure_stream(
-                &comp,
-                &formulas,
-                &StreamConfig::new(segment_length)
-                    .pipelined(Some(workers.max(2)))
-                    .flush_depth(4),
-                3,
-            );
-            pipeline_rows.push(format!(
-                concat!(
-                    "    {{\"length\": {}, \"events\": {}, \"queries\": {}, ",
-                    "\"batch_ms\": {:.3}, \"stream_seq_ms\": {:.3}, \"stream_pipe_ms\": {:.3}}}"
-                ),
-                length,
-                comp.event_count(),
-                formulas.len(),
-                batch * 1000.0,
-                stream_seq * 1000.0,
-                stream_pipe * 1000.0,
-            ));
-            eprintln!(
-                concat!(
-                    "[bench] pipeline_sweep len {}: batch {:.3} ms, ",
-                    "stream_seq {:.3} ms, stream_pipe {:.3} ms"
-                ),
-                length,
-                batch * 1000.0,
-                stream_seq * 1000.0,
-                stream_pipe * 1000.0
-            );
-        }
-    }
 
     println!("{{");
     println!("  \"label\": \"{label}\",");
-    println!("  \"available_parallelism\": {workers},");
+    println!("  \"available_parallelism\": {cores},");
     println!("  \"workload\": \"fig5a synthetic (g = {DEFAULT_SEGMENTS})\",");
     println!("  \"series\": [");
     println!("{}", rows.join(",\n"));
@@ -830,9 +719,6 @@ fn main() {
         println!("  ],");
         println!("  \"telemetry\": [");
         println!("{}", telemetry_rows.join(",\n"));
-        println!("  ],");
-        println!("  \"pipeline_sweep\": [");
-        println!("{}", pipeline_rows.join(",\n"));
         println!("  ],");
     }
     println!("  \"total_explored_states\": {total_states},");

@@ -270,8 +270,6 @@ pub struct SweepPoint {
 /// pins exactly these points (plus the separately shared
 /// [`blockchain_workloads`]), so a sweep added here is automatically both
 /// measured and gated — it cannot join one side and silently skip the other.
-/// The wall-clock-only pipeline sweep is not a deterministic point and stays
-/// in `bench_snapshot`.
 pub fn sweep_points() -> Vec<SweepPoint> {
     let mut out = Vec::new();
     let cfg = fig5a_config();
@@ -581,8 +579,8 @@ pub struct CheckpointRun {
     /// Number of serialize + restore round trips performed.
     pub restarts: u64,
     /// Size in bytes of the last snapshot taken (a deterministic function of
-    /// the workload on the sequential path — pinned, so unintended format or
-    /// state-footprint growth shows up as counter drift).
+    /// the workload — pinned, so unintended format or state-footprint growth
+    /// shows up as counter drift).
     pub snapshot_bytes: u64,
 }
 
@@ -646,8 +644,8 @@ pub fn run_checkpoint_case(case: &CheckpointCase) -> CheckpointRun {
 /// delivered schedule fed once through direct in-memory calls and once
 /// through a `.rvw` wire capture file (header, then `Hello`, per-event
 /// frames, and `End`) drained by [`rvmtl_wire::WireSource`] — across fault
-/// policies and both execution paths. Membership is shared by
-/// `bench_snapshot --wire-smoke` (the CI gate) and the library test.
+/// policies. Membership is shared by `bench_snapshot --wire-smoke` (the CI
+/// gate) and the library test.
 pub struct WireReplayCase {
     /// Row name of the case.
     pub name: &'static str,
@@ -658,13 +656,10 @@ pub struct WireReplayCase {
     pub faults: FaultConfig,
     /// Seed of the deterministic injection.
     pub seed: u64,
-    /// Replay on the pipelined path (2 workers) instead of sequentially.
-    pub pipelined: bool,
 }
 
-/// The wire-replay scenario grid: each fault policy exercised on both
-/// execution paths, so the smoke covers exact, absorbed and degraded
-/// evidence over the framed transport.
+/// The wire-replay scenario grid: one case per fault policy, so the smoke
+/// covers exact, absorbed and degraded evidence over the framed transport.
 pub fn wire_replay_cases() -> Vec<WireReplayCase> {
     let policies = [
         (
@@ -691,19 +686,15 @@ pub fn wire_replay_cases() -> Vec<WireReplayCase> {
             0xE1A3,
         ),
     ];
-    let mut cases = Vec::new();
-    for (name, policy, faults, seed) in policies {
-        for pipelined in [false, true] {
-            cases.push(WireReplayCase {
-                name,
-                policy,
-                faults,
-                seed,
-                pipelined,
-            });
-        }
-    }
-    cases
+    policies
+        .into_iter()
+        .map(|(name, policy, faults, seed)| WireReplayCase {
+            name,
+            policy,
+            faults,
+            seed,
+        })
+        .collect()
 }
 
 /// The outcome of one wire-replay case: the direct-ingestion report, the
@@ -717,33 +708,21 @@ pub struct WireReplayRun {
     pub wire_bytes: u64,
     /// The wire source's frame counters.
     pub stats: rvmtl_wire::WireStats,
-    /// Whether the case ran pipelined.
-    pub pipelined: bool,
 }
 
 impl WireReplayRun {
     /// `true` if the wire-replayed run is indistinguishable from direct
     /// ingestion: verdicts, pending obligations, integrity tags, segment
-    /// count and health always, plus exact [`SolverStats`] equality on the
-    /// sequential path (the pipelined explored/memo split is racy between
-    /// any two runs, wire or not, so there only the deterministic counters
-    /// gate).
+    /// count, health and exact [`SolverStats`] equality.
     ///
     /// [`SolverStats`]: rvmtl_solver::SolverStats
     pub fn replay_identical(&self) -> bool {
-        let base = self.replayed.verdicts == self.direct.verdicts
+        self.replayed.verdicts == self.direct.verdicts
             && self.replayed.pending == self.direct.pending
             && self.replayed.integrity == self.direct.integrity
             && self.replayed.segments == self.direct.segments
-            && self.replayed.health == self.direct.health;
-        let stats = if self.pipelined {
-            self.replayed.stats.explored_states + self.replayed.stats.memo_hits
-                == self.direct.stats.explored_states + self.direct.stats.memo_hits
-                && self.replayed.stats.completed_sequences == self.direct.stats.completed_sequences
-        } else {
-            self.replayed.stats == self.direct.stats
-        };
-        base && stats
+            && self.replayed.health == self.direct.health
+            && self.replayed.stats == self.direct.stats
     }
 }
 
@@ -766,10 +745,7 @@ pub fn run_wire_replay_case(case: &WireReplayCase) -> WireReplayRun {
     let faulted = FaultInjector::new(case.seed, case.faults).inject(&clean);
     let delivered: Vec<StreamEvent> = faulted.events().cloned().collect();
     let segment_length = (comp.duration().max(1) / DEFAULT_SEGMENTS as u64).max(1);
-    let mut config = StreamConfig::new(segment_length).fault_policy(case.policy);
-    if case.pipelined {
-        config = config.pipelined(Some(2));
-    }
+    let config = StreamConfig::new(segment_length).fault_policy(case.policy);
 
     let mut direct = StreamMonitor::new(comp.process_count(), comp.epsilon(), config.clone());
     direct.add_query(&phi);
@@ -783,15 +759,7 @@ pub fn run_wire_replay_case(case: &WireReplayCase) -> WireReplayRun {
         processes: comp.process_count(),
         fault_policy: case.policy,
     };
-    let path = std::env::temp_dir().join(format!(
-        "rvmtl_wire_smoke_{}_{}.rvw",
-        case.name,
-        if case.pipelined {
-            "pipelined"
-        } else {
-            "sequential"
-        }
-    ));
+    let path = std::env::temp_dir().join(format!("rvmtl_wire_smoke_{}.rvw", case.name));
     let file = std::fs::File::create(&path).expect("create .rvw capture");
     capture_events(std::io::BufWriter::new(file), &hello, &delivered).expect("write capture");
     let wire_bytes = std::fs::metadata(&path).expect("stat capture").len();
@@ -809,7 +777,6 @@ pub fn run_wire_replay_case(case: &WireReplayCase) -> WireReplayRun {
         replayed: replayed.finish(),
         wire_bytes,
         stats,
-        pipelined: case.pipelined,
     }
 }
 
@@ -825,13 +792,8 @@ mod tests {
             assert_eq!(run.stats.decode_errors, 0, "{}", case.name);
             assert!(
                 run.replay_identical(),
-                "{} ({}): wire replay diverged from direct ingestion",
-                case.name,
-                if case.pipelined {
-                    "pipelined"
-                } else {
-                    "sequential"
-                }
+                "{}: wire replay diverged from direct ingestion",
+                case.name
             );
         }
     }

@@ -72,8 +72,7 @@ fn slug(label: &str) -> String {
 /// Evaluates every deterministic sweep of the benchmark suite once and
 /// returns one [`PinRow`] per sweep point. Membership comes from
 /// [`crate::sweep_points`] — the same producer `bench_snapshot --sweeps`
-/// times — plus the separately shared [`blockchain_workloads`]; the
-/// wall-clock-only pipeline sweep is excluded by construction.
+/// times — plus the separately shared [`blockchain_workloads`].
 pub fn pin_rows() -> Vec<PinRow> {
     let mut rows: Vec<PinRow> = Vec::new();
     let mut push = |key: String, comp: &DistributedComputation, phi: &Formula, segments: usize| {
@@ -178,8 +177,7 @@ pub fn checkpoint_entries() -> Vec<(String, u64)> {
 }
 
 /// Runs the canonical telemetry workload: the clean fault-storm schedule
-/// streamed through the sequential path with telemetry enabled and GC every
-/// 4 segments. Returns the final report (whose
+/// streamed with telemetry enabled and GC every 4 segments. Returns the final report (whose
 /// [`StreamReport::telemetry`] snapshot carries every instrument) and the
 /// flight recorder's full-lifecycle kind counts — the ring is sized far
 /// above the event count, so nothing is overwritten and the counts are a

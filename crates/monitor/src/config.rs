@@ -35,8 +35,6 @@ pub struct MonitorConfig {
     pub segmentation: Segmentation,
     /// Boundary-attribution mode for segments.
     pub mode: SegmentationMode,
-    /// Evaluate the pending formulas of a segment on parallel threads.
-    pub parallel: bool,
     /// Upper bound on the number of distinct rewritten formulas kept per
     /// pending formula per segment (`None` = unbounded). Mirrors the paper's
     /// bounded number of solver solutions per segment (Fig. 5e).
@@ -53,7 +51,6 @@ impl Default for MonitorConfig {
         MonitorConfig {
             segmentation: Segmentation::None,
             mode: SegmentationMode::Disjoint,
-            parallel: false,
             max_solutions_per_segment: None,
             engine: ExploreEngine::default(),
         }
@@ -81,12 +78,6 @@ impl MonitorConfig {
             segmentation: Segmentation::Frequency(f),
             ..MonitorConfig::default()
         }
-    }
-
-    /// Enables parallel evaluation of pending formulas within a segment.
-    pub fn parallel(mut self, enabled: bool) -> Self {
-        self.parallel = enabled;
-        self
     }
 
     /// Uses the paper's overlapping segment windows instead of the default
@@ -136,11 +127,8 @@ mod tests {
 
     #[test]
     fn builder_style_config() {
-        let cfg = MonitorConfig::with_segments(4)
-            .parallel(true)
-            .max_solutions(3);
+        let cfg = MonitorConfig::with_segments(4).max_solutions(3);
         assert_eq!(cfg.segmentation, Segmentation::Count(4));
-        assert!(cfg.parallel);
         assert_eq!(cfg.max_solutions_per_segment, Some(3));
         let overlap = MonitorConfig::with_frequency(2.0).overlap();
         assert_eq!(overlap.mode, SegmentationMode::Overlap);

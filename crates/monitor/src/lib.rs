@@ -12,7 +12,7 @@
 //! yielding the verdict set `[(E, ⇝) ⊨F φ]` of Sec. III.
 //!
 //! * [`Monitor`] / [`MonitorConfig`] — batch monitoring of a complete
-//!   computation with configurable segmentation and parallelism;
+//!   computation with configurable segmentation;
 //! * [`OnlineMonitor`] — incremental monitoring, one segment at a time;
 //! * [`VerdictSet`] / [`Verdict`] — the (possibly ambiguous) outcome;
 //! * [`naive_verdicts`] — the explicit-enumeration baseline.
@@ -45,7 +45,6 @@
 mod baseline;
 mod config;
 mod monitor;
-mod par;
 mod verdict;
 
 pub use baseline::{naive_verdicts, naive_verdicts_bounded};

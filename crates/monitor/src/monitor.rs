@@ -4,7 +4,7 @@
 
 use crate::{Integrity, MonitorConfig, VerdictSet};
 use rvmtl_distrib::{segment, DistributedComputation};
-use rvmtl_mtl::{ArenaOps, Formula, FormulaId, Interner, ShardedInterner, ShiftedId};
+use rvmtl_mtl::{Formula, FormulaId, Interner, ShiftedId};
 use rvmtl_solver::{ExploreEngine, SegmentSolver, SolverStats};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -56,53 +56,6 @@ impl MonitorReport {
     }
 }
 
-/// The query-spanning formula arena of an [`OnlineMonitor`]: an exclusive
-/// [`Interner`] in sequential mode, a [`ShardedInterner`] shared by the
-/// worker threads in parallel mode. Both implement
-/// [`rvmtl_mtl::ArenaOps`], so one [`SegmentSolver`] code path serves both.
-#[derive(Debug, Clone)]
-enum QueryArena {
-    Plain(Box<Interner>),
-    Sharded(ShardedInterner),
-}
-
-impl QueryArena {
-    fn intern(&mut self, phi: &Formula) -> FormulaId {
-        match self {
-            QueryArena::Plain(interner) => interner.intern(phi),
-            QueryArena::Sharded(arena) => arena.intern(phi),
-        }
-    }
-
-    /// Shift-normal decomposition of an id (see [`ArenaOps::normalize`]).
-    fn normalize(&self, id: FormulaId) -> ShiftedId {
-        match self {
-            QueryArena::Plain(interner) => ArenaOps::normalize(&**interner, id),
-            QueryArena::Sharded(arena) => ArenaOps::normalize(arena, id),
-        }
-    }
-
-    /// Resolves a shift-normal pending obligation to a plain formula tree
-    /// without materialising the translated node.
-    fn resolve_shifted(&self, s: ShiftedId) -> Formula {
-        match self {
-            QueryArena::Plain(interner) => ArenaOps::resolve_shifted(&**interner, s),
-            QueryArena::Sharded(arena) => ArenaOps::resolve_shifted(arena, s),
-        }
-    }
-
-    /// Empty-future verdict of a shift-normal pending obligation. Resolves
-    /// through the shift for free: translation changes interval anchors, not
-    /// operator kinds, and `eval_empty` only looks at the kinds — so the
-    /// canonical residual's verdict is the obligation's.
-    fn eval_empty_shifted(&self, s: ShiftedId) -> bool {
-        match self {
-            QueryArena::Plain(interner) => interner.eval_empty(s.id),
-            QueryArena::Sharded(arena) => arena.eval_empty(s.id),
-        }
-    }
-}
-
 /// An online monitor: feed segments as they are observed, query the verdicts
 /// so far, and close the monitor when the computation ends.
 ///
@@ -115,20 +68,13 @@ impl QueryArena {
 /// a set of [`FormulaId`]s, every segment is progressed through
 /// [`SegmentSolver`]s over that arena, and the stable parts of the
 /// specification are interned exactly once instead of once per segment per
-/// pending formula. Final verdicts are computed directly on the ids — no
-/// formula tree or empty trace is materialised.
-///
-/// In sequential mode the arena is an exclusive [`Interner`] and all pending
-/// formulas of a segment share one solver (memo table and per-cut caches
-/// included). In parallel mode ([`OnlineMonitor::parallel`]) the arena is a
-/// [`ShardedInterner`]: worker threads progress the pending formulas
-/// concurrently through shared handles, interning and hitting the arena's
-/// progression caches in place — the query-spanning arena is shared, not
-/// rebuilt per formula (per-*segment* solver memo tables stay worker-local).
+/// pending formula, and all pending formulas of a segment share one solver
+/// (memo table and per-cut caches included). Final verdicts are computed
+/// directly on the ids — no formula tree or empty trace is materialised.
 #[derive(Debug, Clone)]
 pub struct OnlineMonitor {
     /// The arena every pending formula lives in, alive across segments.
-    arena: QueryArena,
+    arena: Interner,
     /// Pending obligations in shift-normal form: two obligations that are
     /// exact time-translates of each other share one arena node and differ
     /// only in the shift word of their [`ShiftedId`].
@@ -142,7 +88,7 @@ impl OnlineMonitor {
     /// Starts monitoring `phi` (anchored at the base time of the first
     /// segment that will be observed).
     pub fn new(phi: Formula) -> Self {
-        let mut arena = QueryArena::Plain(Box::new(Interner::new()));
+        let mut arena = Interner::new();
         let root = arena.intern(&phi);
         let root = arena.normalize(root);
         OnlineMonitor {
@@ -152,33 +98,6 @@ impl OnlineMonitor {
             stats: SolverStats::default(),
             engine: ExploreEngine::default(),
         }
-    }
-
-    /// Enables (or disables) parallel evaluation of pending formulas,
-    /// switching the query arena between its exclusive and its sharded
-    /// representation (pending obligations are carried over).
-    pub fn parallel(mut self, enabled: bool) -> Self {
-        let already = matches!(self.arena, QueryArena::Sharded(_));
-        if enabled != already {
-            let resolved: Vec<Formula> = self
-                .pending
-                .iter()
-                .map(|&s| self.arena.resolve_shifted(s))
-                .collect();
-            self.arena = if enabled {
-                QueryArena::Sharded(ShardedInterner::new())
-            } else {
-                QueryArena::Plain(Box::new(Interner::new()))
-            };
-            self.pending = resolved
-                .iter()
-                .map(|phi| {
-                    let id = self.arena.intern(phi);
-                    self.arena.normalize(id)
-                })
-                .collect();
-        }
-        self
     }
 
     /// Bounds the number of distinct rewritten formulas kept per pending
@@ -232,59 +151,26 @@ impl OnlineMonitor {
     /// the segment that will be observed next (or any time at or after the end
     /// of this segment if it is the last one).
     ///
-    /// Both arena representations flow through the same [`SegmentSolver`]
-    /// code path; the parallel mode fans the pending formulas out over worker
-    /// threads that share the sharded query-spanning arena (and therefore its
-    /// `one_cache`/`gap_cache` memoised progressions) through `&` handles.
     pub fn observe_segment(&mut self, seg: &DistributedComputation, next_anchor: u64) {
-        let pending: Vec<ShiftedId> = self.pending.iter().copied().collect();
-        let limit = self.limit;
-        let engine = self.engine;
+        // Materialise the shift-normal pendings before the solver borrows the
+        // arena. The materialised translate is the same hash-consed node the
+        // pre-shift-normal pending set held, so this costs no arena growth
+        // over the old representation.
+        let seeds: Vec<FormulaId> = self
+            .pending
+            .iter()
+            .map(|&s| self.arena.materialize(s))
+            .collect();
         let mut next: BTreeSet<FormulaId> = BTreeSet::new();
-        match &mut self.arena {
-            QueryArena::Plain(interner) => {
-                // Materialise the shift-normal pendings before the solver
-                // borrows the arena. The materialised translate is the same
-                // hash-consed node the pre-shift-normal pending set held, so
-                // this costs no arena growth over the old representation.
-                let seeds: Vec<FormulaId> = pending
-                    .iter()
-                    .map(|&s| ArenaOps::materialize(&mut **interner, s))
-                    .collect();
-                let mut solver =
-                    SegmentSolver::new(seg, next_anchor, &mut **interner).with_engine(engine);
-                if let Some(l) = limit {
-                    solver = solver.with_limit(l);
-                }
-                for psi in seeds {
-                    let result = solver.progress(psi);
-                    self.stats.absorb(&result.stats);
-                    next.extend(result.formulas);
-                }
-            }
-            QueryArena::Sharded(arena) => {
-                let arena: &ShardedInterner = arena;
-                let seeds: Vec<FormulaId> = pending
-                    .iter()
-                    .map(|&s| {
-                        let mut handle = arena;
-                        ArenaOps::materialize(&mut handle, s)
-                    })
-                    .collect();
-                let results = crate::par::par_map(&seeds, |&psi| {
-                    let mut handle = arena;
-                    let mut solver =
-                        SegmentSolver::new(seg, next_anchor, &mut handle).with_engine(engine);
-                    if let Some(l) = limit {
-                        solver = solver.with_limit(l);
-                    }
-                    solver.progress(psi)
-                });
-                for result in results {
-                    self.stats.absorb(&result.stats);
-                    next.extend(result.formulas);
-                }
-            }
+        let mut solver =
+            SegmentSolver::new(seg, next_anchor, &mut self.arena).with_engine(self.engine);
+        if let Some(l) = self.limit {
+            solver = solver.with_limit(l);
+        }
+        for psi in seeds {
+            let result = solver.progress(psi);
+            self.stats.absorb(&result.stats);
+            next.extend(result.formulas);
         }
         self.pending = next
             .into_iter()
@@ -303,12 +189,12 @@ impl OnlineMonitor {
     /// Ends the computation: every remaining obligation is closed against the
     /// empty future (finite-trace semantics, evaluated directly on the
     /// interned ids) and the final verdict set is returned.
+    ///
+    /// `eval_empty` resolves through the shift for free: translation changes
+    /// interval anchors, not operator kinds, and `eval_empty` only looks at
+    /// the kinds — so the canonical residual's verdict is the obligation's.
     pub fn finish(&self) -> VerdictSet {
-        VerdictSet::from_bools(
-            self.pending
-                .iter()
-                .map(|&s| self.arena.eval_empty_shifted(s)),
-        )
+        VerdictSet::from_bools(self.pending.iter().map(|&s| self.arena.eval_empty(s.id)))
     }
 }
 
@@ -365,7 +251,6 @@ impl Monitor {
         let final_anchor = comp.max_local_time() + comp.epsilon();
 
         let mut online = OnlineMonitor::new(phi.clone())
-            .parallel(self.config.parallel)
             .with_limit(self.config.max_solutions_per_segment)
             .with_engine(self.config.engine);
         let mut reports = Vec::with_capacity(segments.len());
@@ -495,17 +380,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn parallel_monitoring_gives_identical_results() {
-        let comp = fig2_swap();
-        let phi = parse("!Apr.Redeem(bob) U[0,8) Ban.Redeem(alice)").unwrap();
-        let sequential = Monitor::new(MonitorConfig::with_segments(3)).run(&comp, &phi);
-        let parallel =
-            Monitor::new(MonitorConfig::with_segments(3).parallel(true)).run(&comp, &phi);
-        assert_eq!(sequential.verdicts, parallel.verdicts);
-        assert_eq!(sequential.pending, parallel.pending);
     }
 
     #[test]

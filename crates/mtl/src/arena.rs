@@ -1,34 +1,29 @@
-//! The formula-arena abstraction: one trait, two implementations.
+//! The progression algorithms of the formula arena.
 //!
-//! The solver engine and the monitors are written against [`ArenaOps`], the
-//! common interface of the single-threaded [`crate::Interner`] and the
-//! lock-per-shard [`crate::ShardedInterner`]. The trait has two layers:
+//! [`crate::Interner`] (`intern.rs`) owns the storage: the node table, the
+//! fused metadata records, the canonicalising smart constructors, state
+//! interning and the two progression caches. This module adds the
+//! algorithms on top of that storage, as a second `impl Interner` block:
 //!
-//! * **Required methods** — node storage, canonicalising smart constructors,
-//!   state interning and the two progression caches. Each arena implements
-//!   these natively (plain vectors and maps for `Interner`, sharded
-//!   `Mutex`-protected tables for `ShardedInterner`).
-//! * **Provided methods** — the *algorithms*: memoised single-observation and
-//!   gap progression, interval-splitting progression over occurrence windows,
-//!   empty-future evaluation, and conversion to/from the plain [`Formula`]
-//!   tree. These are written once, here, on top of the required methods, so
-//!   the sequential and the concurrent arena cannot diverge semantically —
-//!   `intern_properties.rs` additionally pins their agreement on random
-//!   formulas.
+//! * shift-normal translation ([`Interner::translate_up`],
+//!   [`Interner::translate_down`], [`Interner::normalize`],
+//!   [`Interner::materialize`], [`Interner::resolve_shifted`]);
+//! * memoised single-observation and gap progression
+//!   ([`Interner::progress_one_cached`], [`Interner::progress_gap_cached`]);
+//! * interval-splitting progression over occurrence windows, scalar
+//!   ([`Interner::progress_one_over`], [`Interner::progress_gap_over`]) and
+//!   batched ([`Interner::progress_one_over_batched`],
+//!   [`Interner::progress_gap_over_batched`]), with the [`SplitRange`]s they
+//!   return.
 //!
-//! The provided algorithms mirror the documented contracts of the inherent
-//! [`crate::Interner`] methods of the same names (see `intern.rs` for the
-//! soundness arguments: horizon clamping, invariant-only range merging, the
-//! stable tail); the interner's inherent methods delegate here.
+//! The caches are reached only through the interner's tallying accessors,
+//! so every probe is counted exactly once in [`crate::CacheStats`].
 
-use crate::{
-    Formula, FormulaId, GapKey, Interval, Node, NodeKind, NodeMeta, OneKey, Prop, ShiftedId, State,
-    StateKey,
-};
+use crate::{Formula, FormulaId, GapKey, Interner, Node, OneKey, ShiftedId, State, StateKey};
 
 /// Reusable buffers for the batched interval-splitting progressions
-/// ([`ArenaOps::progress_one_over_batched`] /
-/// [`ArenaOps::progress_gap_over_batched`]). One instance amortises the key,
+/// ([`Interner::progress_one_over_batched`] /
+/// [`Interner::progress_gap_over_batched`]). One instance amortises the key,
 /// probe-result and residual vectors across every window a caller splits —
 /// the solver keeps one per segment, so the batch entry points allocate
 /// nothing in steady state.
@@ -45,7 +40,7 @@ pub struct ProbeScratch {
 }
 
 /// How the residuals of a [`SplitRange`] vary across the range; see
-/// [`crate::Interner::progress_one_over`] for the full contract.
+/// [`Interner::progress_one_over`] for the full contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RangeKind {
     /// Every time point of the range yields the range's residual.
@@ -59,10 +54,9 @@ pub enum RangeKind {
 }
 
 /// One maximal range of an interval-splitting progression
-/// ([`crate::Interner::progress_one_over`] /
-/// [`crate::Interner::progress_gap_over`]): the occurrence times `[lo, hi]`
-/// (inclusive) together with the residual at `lo` and the law giving the
-/// residuals of the remaining points.
+/// ([`Interner::progress_one_over`] / [`Interner::progress_gap_over`]): the
+/// occurrence times `[lo, hi]` (inclusive) together with the residual at `lo`
+/// and the law giving the residuals of the remaining points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitRange {
     /// Earliest occurrence time of the range.
@@ -75,142 +69,17 @@ pub struct SplitRange {
     pub kind: RangeKind,
 }
 
-/// Operations every formula arena provides; see the module documentation.
-///
-/// The provided methods implement progression, evaluation and conversion
-/// generically; implementors only supply storage, canonicalising constructors
-/// and caches. The trait is not object-safe (the interval-splitting helpers
-/// take closures); it is used via monomorphisation only.
-pub trait ArenaOps {
-    /// The node named by `id` (a clone — nodes are small, and the concurrent
-    /// arena cannot hand out references across its shard locks).
-    fn node(&self, id: FormulaId) -> Node;
-
-    /// Returns `true` if the interned state `key` satisfies the proposition.
-    fn state_holds(&self, key: StateKey, p: &Prop) -> bool;
-
-    /// The fused metadata record of `id` — kind tag, temporal horizon, shift
-    /// slack and canonical residual in **one** indexed read (see
-    /// [`crate::NodeMeta`]). This is the only per-node metadata primitive;
-    /// [`ArenaOps::temporal_horizon`] and friends are projections of it, so
-    /// hot paths that need several properties should call this once and
-    /// project locally.
-    fn node_meta(&self, id: FormulaId) -> NodeMeta;
-
-    /// The arena-level shift watermark (see [`crate::Interner::ever_shifted`]):
-    /// `false` while no node with a nonzero finite shift slack has ever been
-    /// interned, in which case shift-normal decomposition is the identity on
-    /// every id of this arena and callers skip the zone machinery wholesale.
-    fn ever_shifted(&self) -> bool;
-
-    /// Interns an observation state (see [`crate::Interner::intern_state`]).
-    fn intern_state(&mut self, state: &State) -> StateKey;
-
-    /// Interns an atomic proposition.
-    fn mk_atom(&mut self, p: Prop) -> FormulaId;
-    /// Smart negation.
-    fn mk_not(&mut self, a: FormulaId) -> FormulaId;
-    /// Smart n-ary conjunction.
-    fn mk_and_all(&mut self, parts: Vec<FormulaId>) -> FormulaId;
-    /// Smart n-ary disjunction.
-    fn mk_or_all(&mut self, parts: Vec<FormulaId>) -> FormulaId;
-    /// Smart implication.
-    fn mk_implies(&mut self, a: FormulaId, b: FormulaId) -> FormulaId;
-    /// Smart timed until.
-    fn mk_until(&mut self, a: FormulaId, i: Interval, b: FormulaId) -> FormulaId;
-    /// Smart timed eventually.
-    fn mk_eventually(&mut self, i: Interval, a: FormulaId) -> FormulaId;
-    /// Smart timed always.
-    fn mk_always(&mut self, i: Interval, a: FormulaId) -> FormulaId;
-
-    /// Looks up a memoised single-observation progression. The key is the
-    /// packed shift-relative scalar `(state, canonical residual, elapsed −
-    /// shift, shifted?)` — see [`ArenaOps::progress_one_cached`].
-    fn one_cache_get(&self, key: OneKey) -> Option<FormulaId>;
-    /// Memoises a single-observation progression.
-    fn one_cache_put(&mut self, key: OneKey, value: FormulaId);
-    /// Looks up a memoised gap progression (packed shift-relative key
-    /// `(canonical residual, elapsed − shift)`; see
-    /// [`ArenaOps::progress_gap_cached`]).
-    fn gap_cache_get(&self, key: GapKey) -> Option<FormulaId>;
-    /// Memoises a gap progression.
-    fn gap_cache_put(&mut self, key: GapKey, value: FormulaId);
-
-    /// Probes the one-cache for every key of a run, in order, writing one
-    /// `Option` per key into `out` (cleared first). Semantically identical to
-    /// looping [`ArenaOps::one_cache_get`] — including the hit/miss tallies,
-    /// which must count one probe per key — but implementors may amortise the
-    /// table traffic: the sharded arena locks each shard once per maximal
-    /// same-shard key run instead of once per key, and every key of one
-    /// splitter run shares a formula (hence a shard), so a whole batch is one
-    /// lock round-trip.
-    fn one_cache_get_batch(&self, keys: &[OneKey], out: &mut Vec<Option<FormulaId>>) {
-        out.clear();
-        out.extend(keys.iter().map(|&k| self.one_cache_get(k)));
-    }
-
-    /// Batched counterpart of [`ArenaOps::gap_cache_get`]; same contract as
-    /// [`ArenaOps::one_cache_get_batch`].
-    fn gap_cache_get_batch(&self, keys: &[GapKey], out: &mut Vec<Option<FormulaId>>) {
-        out.clear();
-        out.extend(keys.iter().map(|&k| self.gap_cache_get(k)));
-    }
-
-    /// Interns a slice of formula trees in order. The sequential arena gains
-    /// nothing over a loop; the sharded arena still pays per-node lock
-    /// traffic (hash-consing is per-shard), but callers get one entry point
-    /// to hand a whole query set to either arena.
-    fn intern_all(&mut self, phis: &[Formula]) -> Vec<FormulaId> {
-        phis.iter().map(|phi| self.intern(phi)).collect()
-    }
-
-    /// Smart binary conjunction.
-    fn mk_and(&mut self, a: FormulaId, b: FormulaId) -> FormulaId {
-        self.mk_and_all(vec![a, b])
-    }
-
-    /// Smart binary disjunction.
-    fn mk_or(&mut self, a: FormulaId, b: FormulaId) -> FormulaId {
-        self.mk_or_all(vec![a, b])
-    }
-
-    /// The temporal horizon of `id` (see [`crate::Interner::temporal_horizon`];
-    /// a projection of [`ArenaOps::node_meta`]).
-    fn temporal_horizon(&self, id: FormulaId) -> u64 {
-        self.node_meta(id).horizon
-    }
-
-    /// The shift slack of `id` (see [`crate::Interner::shift_slack`]):
-    /// `u64::MAX` for propositional formulas, otherwise the largest exact
-    /// downward translation of the top-level intervals. A projection of
-    /// [`ArenaOps::node_meta`].
-    fn shift_slack(&self, id: FormulaId) -> u64 {
-        self.node_meta(id).slack
-    }
-
-    /// The canonical shift-normal residual of `id` (see
-    /// [`crate::Interner::shift_canon`]; a projection of
-    /// [`ArenaOps::node_meta`]).
-    fn shift_canon(&self, id: FormulaId) -> FormulaId {
-        self.node_meta(id).canon
-    }
-
-    /// Returns `true` if progression of `id` is independent of elapsed time
-    /// (see [`crate::Interner::temporal_horizon`]).
-    fn is_time_invariant(&self, id: FormulaId) -> bool {
-        self.node_meta(id).horizon == 0
-    }
-
+impl Interner {
     /// Shifts every top-level temporal interval of `id` up by `delta` —
-    /// the exact inverse of [`ArenaOps::translate_down`] on its domain.
+    /// the exact inverse of [`Interner::translate_down`] on its domain.
     /// Propositional formulas are fixed points; subformulas *under* a
     /// temporal operator are untouched (their anchor is the operator's
     /// window, which moves as a whole).
-    fn translate_up(&mut self, id: FormulaId, delta: u64) -> FormulaId {
+    pub fn translate_up(&mut self, id: FormulaId, delta: u64) -> FormulaId {
         if delta == 0 || self.shift_slack(id) == u64::MAX {
             return id;
         }
-        match self.node(id) {
+        match self.node(id).clone() {
             Node::True | Node::False | Node::Atom(_) => id,
             Node::Not(a) => {
                 let a = self.translate_up(a, delta);
@@ -242,11 +111,11 @@ pub trait ArenaOps {
     }
 
     /// Translates every top-level temporal interval of `id` down by `delta`,
-    /// exactly — `delta` must not exceed [`ArenaOps::shift_slack`], so no
-    /// endpoint clamps and [`ArenaOps::translate_up`] inverts the move.
+    /// exactly — `delta` must not exceed [`Interner::shift_slack`], so no
+    /// endpoint clamps and [`Interner::translate_up`] inverts the move.
     /// Equals `progress_gap(id, delta)` on that domain (a gap shorter than
     /// the slack elapses no window, it only slides them).
-    fn translate_down(&mut self, id: FormulaId, delta: u64) -> FormulaId {
+    pub fn translate_down(&mut self, id: FormulaId, delta: u64) -> FormulaId {
         debug_assert!(
             delta <= self.shift_slack(id),
             "translate_down past the shift slack is not exact"
@@ -254,7 +123,7 @@ pub trait ArenaOps {
         if delta == 0 || self.shift_slack(id) == u64::MAX {
             return id;
         }
-        match self.node(id) {
+        match self.node(id).clone() {
             Node::True | Node::False | Node::Atom(_) => id,
             Node::Not(a) => {
                 let a = self.translate_down(a, delta);
@@ -290,7 +159,7 @@ pub trait ArenaOps {
     /// factored out. Formulas with slack 0 (a window already open, or an
     /// `Until` with a non-invariant left argument) and propositional formulas
     /// are their own canonical form with shift 0.
-    fn normalize(&self, id: FormulaId) -> ShiftedId {
+    pub fn normalize(&self, id: FormulaId) -> ShiftedId {
         // Shift-free arenas (watermark down) have no decomposable node at
         // all: skip even the metadata read.
         if !self.ever_shifted() {
@@ -309,8 +178,8 @@ pub trait ArenaOps {
 
     /// Rebuilds the plain id of a shift-normal pair
     /// (`translate_up(s.id, s.shift)`) — the inverse of
-    /// [`ArenaOps::normalize`].
-    fn materialize(&mut self, s: ShiftedId) -> FormulaId {
+    /// [`Interner::normalize`].
+    pub fn materialize(&mut self, s: ShiftedId) -> FormulaId {
         self.translate_up(s.id, s.shift)
     }
 
@@ -318,36 +187,47 @@ pub trait ArenaOps {
     /// materialising the translated node in the arena. Produces exactly
     /// `resolve(materialize(s))`: top-level intervals are shifted up *before*
     /// the structural re-sort of n-ary operands.
-    fn resolve_shifted(&self, s: ShiftedId) -> Formula {
-        fn go<A: ArenaOps + ?Sized>(arena: &A, id: FormulaId, delta: u64) -> Formula {
+    pub fn resolve_shifted(&self, s: ShiftedId) -> Formula {
+        fn go(arena: &Interner, id: FormulaId, delta: u64) -> Formula {
             if delta == 0 || arena.shift_slack(id) == u64::MAX {
                 return arena.resolve(id);
             }
             match arena.node(id) {
                 Node::True | Node::False | Node::Atom(_) => arena.resolve(id),
-                Node::Not(a) => Formula::not(go(arena, a, delta)),
-                Node::And(children) => fold_nary(
+                Node::Not(a) => Formula::not(go(arena, *a, delta)),
+                Node::And(children) => crate::intern::fold_nary(
                     children.iter().map(|&c| go(arena, c, delta)).collect(),
                     true,
                 ),
-                Node::Or(children) => fold_nary(
+                Node::Or(children) => crate::intern::fold_nary(
                     children.iter().map(|&c| go(arena, c, delta)).collect(),
                     false,
                 ),
-                Node::Implies(a, b) => Formula::implies(go(arena, a, delta), go(arena, b, delta)),
-                Node::Eventually(i, a) => Formula::eventually(i.shift_up(delta), arena.resolve(a)),
-                Node::Always(i, a) => Formula::always(i.shift_up(delta), arena.resolve(a)),
+                Node::Implies(a, b) => Formula::implies(go(arena, *a, delta), go(arena, *b, delta)),
+                Node::Eventually(i, a) => Formula::eventually(i.shift_up(delta), arena.resolve(*a)),
+                Node::Always(i, a) => Formula::always(i.shift_up(delta), arena.resolve(*a)),
                 Node::Until(a, i, b) => {
-                    Formula::until(arena.resolve(a), i.shift_up(delta), arena.resolve(b))
+                    Formula::until(arena.resolve(*a), i.shift_up(delta), arena.resolve(*b))
                 }
             }
         }
         go(self, s.id, s.shift)
     }
 
-    /// Memoised single-observation progression over an interned state (see
-    /// [`crate::Interner::progress_one_cached`] for the original contract and
-    /// the horizon-clamping argument).
+    /// Memoised [`Interner::progress_one`] over an interned state: the result
+    /// of progressing `id` across a single observation of state `key` with
+    /// `elapsed` time units between the observation and the next anchor.
+    ///
+    /// `progress_one(state, time, id, next)` depends on its two time
+    /// arguments only through `next − time`, and beyond the formula's
+    /// [temporal horizon](Interner::temporal_horizon) not even on that — so
+    /// the memo key clamps the elapsed time at the horizon and one cache
+    /// entry serves every tick of the stable tail of any window, across all
+    /// segments the interner lives through. The memoisation is applied at
+    /// *every* recursion level, so structurally shared subformulas (e.g. the
+    /// per-process obligations of a replicated specification, or the stable
+    /// core of a `□`-residual) are progressed once per `(state, elapsed)`
+    /// no matter how many pending formulas contain them.
     ///
     /// # Shift-relative memoisation
     ///
@@ -373,7 +253,7 @@ pub trait ArenaOps {
     /// the two regimes of one canonical residual apart. The relative time of
     /// shifted entries is clamped at the canonical residual's horizon, which
     /// is at least the member's own stability threshold minus its shift.
-    fn progress_one_cached(&mut self, key: StateKey, id: FormulaId, elapsed: u64) -> FormulaId {
+    pub fn progress_one_cached(&mut self, key: StateKey, id: FormulaId, elapsed: u64) -> FormulaId {
         // One fused metadata read serves the slack branch, the horizon clamp
         // and the canonical id. A shift-free node (slack 0 or MAX — the only
         // possibility while the arena watermark is down) takes the direct-key
@@ -398,7 +278,7 @@ pub trait ArenaOps {
         f
     }
 
-    /// The uncached body of [`ArenaOps::progress_one_cached`]: structural
+    /// The uncached body of [`Interner::progress_one_cached`]: structural
     /// progression of `id` against the observation `key` at horizon-clamped
     /// elapsed time `clamped`. Issues **no** top-level cache traffic (children
     /// still go through the cached entry point) — callers that probed and
@@ -406,7 +286,7 @@ pub trait ArenaOps {
     /// lets the batched splitter collect a run of misses and resolve them
     /// together without double-counting probes.
     fn progress_one_compute(&mut self, key: StateKey, id: FormulaId, clamped: u64) -> FormulaId {
-        match self.node(id) {
+        match self.node(id).clone() {
             Node::True => FormulaId::TRUE,
             Node::False => FormulaId::FALSE,
             Node::Atom(p) => {
@@ -489,12 +369,13 @@ pub trait ArenaOps {
         }
     }
 
-    /// Memoised gap progression (see [`crate::Interner::progress_gap_cached`]),
-    /// keyed shift-relative like [`ArenaOps::progress_one_cached`] — without a
-    /// regime flag, because a gap consumes no observation: `gap(S_σ c, Δ)`
-    /// equals `gap(c, Δ − σ)` for `Δ ≥ σ` and the pure translate
-    /// `S_{σ−Δ} c` for `Δ ≤ σ` (negative relative times in the key).
-    fn progress_gap_cached(&mut self, id: FormulaId, elapsed: u64) -> FormulaId {
+    /// Memoised [`Interner::progress_gap`] (same per-node elapsed-clamping
+    /// memo as [`Interner::progress_one_cached`]), keyed shift-relative —
+    /// without a regime flag, because a gap consumes no observation:
+    /// `gap(S_σ c, Δ)` equals `gap(c, Δ − σ)` for `Δ ≥ σ` and the pure
+    /// translate `S_{σ−Δ} c` for `Δ ≤ σ` (negative relative times in the
+    /// key).
+    pub fn progress_gap_cached(&mut self, id: FormulaId, elapsed: u64) -> FormulaId {
         let meta = self.node_meta(id);
         let clamped = elapsed.min(meta.horizon);
         if clamped == 0 {
@@ -522,10 +403,10 @@ pub trait ArenaOps {
         f
     }
 
-    /// The uncached body of [`ArenaOps::progress_gap_cached`]: structural gap
+    /// The uncached body of [`Interner::progress_gap_cached`]: structural gap
     /// progression of `id` by `elapsed` ticks with **no** top-level cache
-    /// traffic (the counterpart of [`ArenaOps::progress_one_compute`] for the
-    /// batched splitter's collected-miss resolution).
+    /// traffic (the counterpart of `progress_one_compute` for the batched
+    /// splitter's collected-miss resolution).
     fn progress_gap_compute(&mut self, id: FormulaId, elapsed: u64) -> FormulaId {
         let meta = self.node_meta(id);
         let clamped = elapsed.min(meta.horizon);
@@ -537,7 +418,7 @@ pub trait ArenaOps {
             // slide — the result is the exact translate.
             return self.translate_down(id, elapsed);
         }
-        match self.node(id) {
+        match self.node(id).clone() {
             Node::True | Node::False | Node::Atom(_) => id,
             Node::Not(a) => {
                 let a = self.progress_gap_cached(a, clamped);
@@ -586,12 +467,65 @@ pub trait ArenaOps {
         }
     }
 
-    /// Interval-splitting progression over a pre-interned observation state
-    /// (see [`crate::Interner::progress_one_over`] for the contract: the
-    /// returned ranges tile `[lo, hi]`; multi-point ranges below the
-    /// stability threshold carry time-invariant residuals or sweep one
-    /// shift-normal zone).
-    fn progress_one_over_keyed(
+    /// Interval-splitting progression: partitions the occurrence-time window
+    /// `[lo, hi]` (inclusive) of the *next* observation into maximal
+    /// [`SplitRange`]s — ranges whose residuals the caller may treat as one
+    /// search node — and returns them in increasing time order.
+    ///
+    /// The pending formula `id` is anchored at `time` and the observation
+    /// being consumed is `state` at `time`. Each returned range `[a, b]`
+    /// carries the residual at its earliest point `a` and a [`RangeKind`]
+    /// describing the rest of the range:
+    ///
+    /// * [`RangeKind::Uniform`] — `progress_one(state, time, id, t)` is the
+    ///   same formula at every `t ∈ [a, b]`;
+    /// * [`RangeKind::Translated`] — the residual at `a + k` is the exact
+    ///   time-translate `translate_down(residual, k)`: the range sweeps one
+    ///   shift-normal zone ([`Interner::shift_canon`] constant, shift
+    ///   decrementing per tick, never reaching 0 inside the range).
+    ///
+    /// Two mechanisms bound the number of progression calls by
+    /// `min(hi − lo, temporal_horizon(id)) + 1` instead of `hi − lo + 1`:
+    ///
+    /// * beyond the stability threshold `time + temporal_horizon(id)` the
+    ///   residual no longer depends on `t`, so the entire tail of the window
+    ///   is resolved with a single progression call;
+    /// * below the threshold, adjacent time points merge into one range when
+    ///   the shared residual is *time-invariant*
+    ///   ([`Interner::is_time_invariant`]) or when consecutive residuals are
+    ///   exact unit translates of each other with shifts that stay ≥ 1. In
+    ///   both cases the caller is entitled to collapse the range to its
+    ///   earliest point: the reachable rewrite set from pending time `t`
+    ///   within one zone shrinks monotonically in `t` (later members can only
+    ///   schedule a subset of the event times available to earlier ones,
+    ///   while the residuals produced at matching absolute times coincide),
+    ///   so the union over the range equals the contribution of its infimum.
+    ///   The shift-0 member of a zone (the tick at which the window opens) is
+    ///   never merged into the translated range: from that tick on the
+    ///   observation falls *inside* the window and the progression changes
+    ///   shape.
+    ///
+    /// The invariant-only uniform rule still applies to the stable tail: a
+    /// non-invariant tail residual (a bounded operator nested under an
+    /// unbounded one) is returned as one multi-point `Uniform` range — saving
+    /// the per-tick progression calls — and the caller must still treat each
+    /// time point of that range as a distinct search state.
+    pub fn progress_one_over(
+        &mut self,
+        state: &State,
+        time: u64,
+        id: FormulaId,
+        lo: u64,
+        hi: u64,
+    ) -> Vec<SplitRange> {
+        let key = self.intern_state(state);
+        self.progress_one_over_keyed(key, time, id, lo, hi)
+    }
+
+    /// [`Interner::progress_one_over`] for a pre-interned observation state —
+    /// the solver interns each cut frontier once and reuses the key across
+    /// every window explored at that cut.
+    pub fn progress_one_over_keyed(
         &mut self,
         key: StateKey,
         time: u64,
@@ -599,34 +533,36 @@ pub trait ArenaOps {
         lo: u64,
         hi: u64,
     ) -> Vec<SplitRange> {
-        progress_over_with(
-            self,
-            lo,
-            hi,
-            time.saturating_add(self.temporal_horizon(id)),
-            |arena, t| arena.progress_one_cached(key, id, t.saturating_sub(time)),
-        )
+        let stable_from = time.saturating_add(self.temporal_horizon(id));
+        progress_over_with(self, lo, hi, stable_from, |arena, t| {
+            arena.progress_one_cached(key, id, t.saturating_sub(time))
+        })
     }
 
-    /// Interval-splitting gap progression (see
-    /// [`crate::Interner::progress_gap_over`]).
-    fn progress_gap_over(&mut self, id: FormulaId, base: u64, lo: u64, hi: u64) -> Vec<SplitRange> {
-        progress_over_with(
-            self,
-            lo,
-            hi,
-            base.saturating_add(self.temporal_horizon(id)),
-            |arena, t| arena.progress_gap_cached(id, t.saturating_sub(base)),
-        )
+    /// Interval-splitting counterpart of [`Interner::progress_gap`]: partitions
+    /// the window `[lo, hi]` of the next anchor time into maximal ranges on
+    /// which `progress_gap(id, t − base)` is constant or translate-swept.
+    /// `base` is the anchor time of `id`. Same contract and merge rules as
+    /// [`Interner::progress_one_over`].
+    pub fn progress_gap_over(
+        &mut self,
+        id: FormulaId,
+        base: u64,
+        lo: u64,
+        hi: u64,
+    ) -> Vec<SplitRange> {
+        let stable_from = base.saturating_add(self.temporal_horizon(id));
+        progress_over_with(self, lo, hi, stable_from, |arena, t| {
+            arena.progress_gap_cached(id, t.saturating_sub(base))
+        })
     }
 
-    /// Batched variant of [`ArenaOps::progress_one_over_keyed`]: splits the
+    /// Batched variant of [`Interner::progress_one_over_keyed`]: splits the
     /// same window into the same ranges (appended to `out`, cleared first),
-    /// but issues the per-tick cache probes as **one contiguous batch**
-    /// through [`ArenaOps::one_cache_get_batch`], collects the misses, and
-    /// resolves them together in tick order. Returns the number of probes
-    /// issued (the tick count of the clamped run), which the solver surfaces
-    /// as its `batched_probe_ticks` counter.
+    /// but issues the per-tick cache probes as **one contiguous batch**,
+    /// collects the misses, and resolves them together in tick order.
+    /// Returns the number of probes issued (the tick count of the clamped
+    /// run), which the solver surfaces as its `batched_probe_ticks` counter.
     ///
     /// # Tally equivalence
     ///
@@ -639,7 +575,7 @@ pub trait ArenaOps {
     /// (top-level) plus keys of *structurally smaller* subterms, while every
     /// run key names `id` or its equal-size canonical residual.
     #[allow(clippy::too_many_arguments)]
-    fn progress_one_over_batched(
+    pub fn progress_one_over_batched(
         &mut self,
         key: StateKey,
         time: u64,
@@ -695,12 +631,12 @@ pub trait ArenaOps {
         one_keys.len()
     }
 
-    /// Batched variant of [`ArenaOps::progress_gap_over`]; same contract and
-    /// tally-equivalence argument as [`ArenaOps::progress_one_over_batched`].
+    /// Batched variant of [`Interner::progress_gap_over`]; same contract and
+    /// tally-equivalence argument as [`Interner::progress_one_over_batched`].
     /// Returns the probe count — ticks whose clamped gap is zero (the scalar
     /// path's identity early-return) issue no probe and form a prefix of the
     /// run, so they are excluded from both the batch and the count.
-    fn progress_gap_over_batched(
+    pub fn progress_gap_over_batched(
         &mut self,
         id: FormulaId,
         base: u64,
@@ -766,122 +702,21 @@ pub trait ArenaOps {
         merge_residual_run(self, lo, hi, stable_from, residuals, out);
         gap_keys.len()
     }
-
-    /// Closes a formula against the empty future (see
-    /// [`crate::Interner::eval_empty`]). Leaf-deciding kinds (constants,
-    /// atoms, temporal operators) are classified from the metadata kind tag
-    /// alone — no node clone; only boolean connectives fetch the node for its
-    /// children.
-    fn eval_empty(&self, id: FormulaId) -> bool {
-        match self.node_meta(id).kind {
-            NodeKind::True | NodeKind::Always => true,
-            NodeKind::False | NodeKind::Atom | NodeKind::Eventually | NodeKind::Until => false,
-            NodeKind::Not | NodeKind::And | NodeKind::Or | NodeKind::Implies => {
-                match self.node(id) {
-                    Node::Not(a) => !self.eval_empty(a),
-                    Node::And(children) => children.iter().all(|&c| self.eval_empty(c)),
-                    Node::Or(children) => children.iter().any(|&c| self.eval_empty(c)),
-                    Node::Implies(a, b) => !self.eval_empty(a) || self.eval_empty(b),
-                    _ => unreachable!("kind tag agrees with the node"),
-                }
-            }
-        }
-    }
-
-    /// Interns a formula tree, canonicalising through the smart constructors.
-    fn intern(&mut self, phi: &Formula) -> FormulaId {
-        match phi {
-            Formula::True => FormulaId::TRUE,
-            Formula::False => FormulaId::FALSE,
-            Formula::Atom(p) => self.mk_atom(p.clone()),
-            Formula::Not(a) => {
-                let a = self.intern(a);
-                self.mk_not(a)
-            }
-            Formula::And(a, b) => {
-                let a = self.intern(a);
-                let b = self.intern(b);
-                self.mk_and(a, b)
-            }
-            Formula::Or(a, b) => {
-                let a = self.intern(a);
-                let b = self.intern(b);
-                self.mk_or(a, b)
-            }
-            Formula::Implies(a, b) => {
-                let a = self.intern(a);
-                let b = self.intern(b);
-                self.mk_implies(a, b)
-            }
-            Formula::Until(a, i, b) => {
-                let a = self.intern(a);
-                let b = self.intern(b);
-                self.mk_until(a, *i, b)
-            }
-            Formula::Eventually(i, a) => {
-                let a = self.intern(a);
-                self.mk_eventually(*i, a)
-            }
-            Formula::Always(i, a) => {
-                let a = self.intern(a);
-                self.mk_always(*i, a)
-            }
-        }
-    }
-
-    /// Rebuilds the plain formula tree named by `id` (same canonical shape as
-    /// [`crate::Interner::resolve`]: n-ary operands re-sorted structurally, so
-    /// resolutions agree across arenas with different id assignments).
-    fn resolve(&self, id: FormulaId) -> Formula {
-        match self.node(id) {
-            Node::True => Formula::True,
-            Node::False => Formula::False,
-            Node::Atom(p) => Formula::Atom(p),
-            Node::Not(a) => Formula::not(self.resolve(a)),
-            Node::And(children) => resolve_nary(self, &children, true),
-            Node::Or(children) => resolve_nary(self, &children, false),
-            Node::Implies(a, b) => Formula::implies(self.resolve(a), self.resolve(b)),
-            Node::Until(a, i, b) => Formula::until(self.resolve(a), i, self.resolve(b)),
-            Node::Eventually(i, a) => Formula::eventually(i, self.resolve(a)),
-            Node::Always(i, a) => Formula::always(i, self.resolve(a)),
-        }
-    }
-}
-
-fn resolve_nary<A: ArenaOps + ?Sized>(arena: &A, children: &[FormulaId], conj: bool) -> Formula {
-    fold_nary(children.iter().map(|&c| arena.resolve(c)).collect(), conj)
-}
-
-/// Left-associates resolved n-ary operands in structural order (the shape
-/// [`crate::simplify`] produces).
-// n-ary nodes hold >= 2 operands by the smart-constructor invariant.
-#[allow(clippy::expect_used)]
-fn fold_nary(mut resolved: Vec<Formula>, conj: bool) -> Formula {
-    resolved.sort();
-    let mut iter = resolved.into_iter();
-    let first = iter.next().expect("n-ary nodes have at least two operands");
-    iter.fold(first, |acc, f| {
-        if conj {
-            Formula::and(acc, f)
-        } else {
-            Formula::or(acc, f)
-        }
-    })
 }
 
 /// Shared splitting loop: walks `t` over `[lo, hi]`, calling `step` once per
 /// time point below `stable_from` and once for the whole tail at or beyond
 /// it, merging adjacent residuals into one range when they are equal and
 /// time-invariant (`Uniform`) or exact unit translates of one another with
-/// shifts staying ≥ 1 (`Translated`) — see
-/// [`crate::Interner::progress_one_over`] for why exactly these merges are
-/// sound for a union-of-contributions caller.
-fn progress_over_with<A: ArenaOps + ?Sized>(
-    arena: &mut A,
+/// shifts staying ≥ 1 (`Translated`) — see [`Interner::progress_one_over`]
+/// for why exactly these merges are sound for a union-of-contributions
+/// caller.
+fn progress_over_with(
+    arena: &mut Interner,
     lo: u64,
     hi: u64,
     stable_from: u64,
-    mut step: impl FnMut(&mut A, u64) -> FormulaId,
+    mut step: impl FnMut(&mut Interner, u64) -> FormulaId,
 ) -> Vec<SplitRange> {
     debug_assert!(lo <= hi, "window [{lo}, {hi}] is empty");
     // `prev` is the step result at `t − 1` (the residual of the previous
@@ -937,7 +772,7 @@ fn progress_over_with<A: ArenaOps + ?Sized>(
 /// Returns `true` if `prev` is the exact unit translate `S₁ f` of `f` and
 /// `f` itself still has shift slack ≥ 1 — the condition under which a range
 /// ending in `prev` may absorb `f` as a [`RangeKind::Translated`] member.
-fn is_unit_translate<A: ArenaOps + ?Sized>(arena: &A, prev: FormulaId, f: FormulaId) -> bool {
+fn is_unit_translate(arena: &Interner, prev: FormulaId, f: FormulaId) -> bool {
     let mf = arena.node_meta(f);
     if !mf.is_translatable() {
         return false;
@@ -953,8 +788,8 @@ fn is_unit_translate<A: ArenaOps + ?Sized>(arena: &A, prev: FormulaId, f: Formul
 /// run must cover `lo ..= min(hi, max(lo, stable_from))` — exactly the ticks
 /// the scalar loop steps before breaking on stability — so both splitters
 /// produce identical range vectors for identical residual sequences.
-fn merge_residual_run<A: ArenaOps + ?Sized>(
-    arena: &A,
+fn merge_residual_run(
+    arena: &Interner,
     lo: u64,
     hi: u64,
     stable_from: u64,

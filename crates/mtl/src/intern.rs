@@ -37,7 +37,7 @@
 //! can be factored out of its top-level live intervals exactly — and its
 //! [canonical residual](Interner::shift_canon), the node with that offset
 //! removed. A formula thus resolves to a `(shift, canonical id)` pair
-//! ([`ShiftedId`], via [`crate::ArenaOps::normalize`]), and two pending
+//! ([`ShiftedId`], via [`Interner::normalize`]), and two pending
 //! obligations that are exact time-translates of each other share one arena
 //! node. The invariant buys a memo-key contract used throughout the solver
 //! and the runtime:
@@ -77,14 +77,14 @@
 //! finite slack is interned. Formulas whose windows all start at zero (the
 //! common phi4-style specifications) never trip it, and while it is down the
 //! zone machinery is provably inert — every slack is 0 or `u64::MAX`, so
-//! [`crate::ArenaOps::normalize`] short-circuits to the identity, cache keys
+//! [`Interner::normalize`] short-circuits to the identity, cache keys
 //! degrade to the direct `(state, id, min(elapsed, horizon))` form, and the
 //! solver skips its pre-memo zone rewrite wholesale. The watermark is
 //! monotone during forward operation and recomputed by [`Interner::compact`]
 //! (it may drop back to `false` when GC collects the last shifted node).
 
 use crate::hashing::FxHashMap;
-use crate::{Formula, Interval, Prop, SplitRange, State, TimedTrace};
+use crate::{Formula, Interval, Prop, State, TimedTrace};
 use std::cell::Cell;
 
 /// A reference to an interned formula. Cheap to copy, compare and hash;
@@ -112,17 +112,14 @@ impl FormulaId {
         }
     }
 
-    /// The raw index (useful for dense side tables).
-    ///
-    /// Only dense for ids produced by an [`Interner`]; the ids of a
-    /// [`crate::ShardedInterner`] pack a shard number into the low bits and
-    /// are sparse in this index space.
+    /// The raw index (useful for dense side tables): an [`Interner`] assigns
+    /// ids consecutively, and [`Interner::compact`] renumbers them densely.
     pub fn index(self) -> usize {
         self.0 as usize
     }
 
-    /// Builds an id from its raw representation (crate-internal: used by the
-    /// sharded arena's packed ids and by compaction).
+    /// Builds an id from its raw representation (crate-internal: used by
+    /// compaction and by the packed progression-cache keys).
     pub(crate) fn from_raw(raw: u32) -> Self {
         FormulaId(raw)
     }
@@ -247,7 +244,7 @@ impl NodeMeta {
 }
 
 /// Packed key of the memoised single-observation progressions
-/// ([`crate::ArenaOps::progress_one_cached`]): the logical tuple
+/// ([`Interner::progress_one_cached`]): the logical tuple
 /// `(state, formula, relative elapsed, shifted-flag)` packed into one `u128`
 /// scalar — `state` in bits 96..128, `formula` in bits 64..96, the flag in
 /// bit 63 and the zig-zag-coded relative time in bits 0..63. One scalar
@@ -316,7 +313,7 @@ impl OneKey {
 }
 
 /// Packed key of the memoised gap progressions
-/// ([`crate::ArenaOps::progress_gap_cached`]): the logical pair
+/// ([`Interner::progress_gap_cached`]): the logical pair
 /// `(formula, relative elapsed)` as one `u128` — formula in bits 64..96,
 /// zig-zag-coded relative time in bits 0..64 (the full 64-bit code, so no
 /// range restriction applies).
@@ -350,11 +347,11 @@ impl GapKey {
 /// admissible delivery time) decompose to the *same* canonical `id` and
 /// differ only in the `shift` word. The arena therefore stores one node per
 /// translate class, the progression caches hit at every translate (see
-/// [`crate::ArenaOps::progress_one_cached`]), and monitor pending sets /
+/// [`Interner::progress_one_cached`]), and monitor pending sets /
 /// GC root sets shrink to canonical residuals plus offsets.
 ///
-/// Produced by [`crate::ArenaOps::normalize`]; turned back into a plain id by
-/// [`crate::ArenaOps::materialize`]. For formulas that admit no exact
+/// Produced by [`Interner::normalize`]; turned back into a plain id by
+/// [`Interner::materialize`]. For formulas that admit no exact
 /// translation (`shift_slack` 0) and for time-invariant formulas the shift is
 /// 0 and `id` is the formula itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -380,8 +377,8 @@ impl ShiftedId {
 pub struct StateKey(u32);
 
 impl StateKey {
-    /// The raw index (useful for dense side tables). Only dense for keys
-    /// produced by an [`Interner`] (see [`FormulaId::index`]).
+    /// The raw index (useful for dense side tables; see
+    /// [`FormulaId::index`]).
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -411,7 +408,7 @@ pub struct Interner {
     /// Arena-level shift watermark: `true` once any node with a nonzero
     /// finite shift slack has been interned. While `false` the whole zone
     /// machinery is provably inert — every slack is 0 or `u64::MAX`, so
-    /// [`crate::ArenaOps::normalize`] is the identity, the progression
+    /// [`Interner::normalize`] is the identity, the progression
     /// caches use direct keys only, and the solver skips its pre-memo zone
     /// rewrite. Recomputed by [`Interner::compact`] from the surviving nodes
     /// (the watermark may drop back to `false` when GC collects the last
@@ -425,7 +422,7 @@ pub struct Interner {
     /// [`OneKey`] scalar. A formula with shift slack σ ≥ 1 shares one entry
     /// with every exact translate of its canonical residual (the progression
     /// result is literally the same id at matching relative elapsed time —
-    /// see [`crate::ArenaOps::progress_one_cached`]); formulas with slack 0
+    /// see [`Interner::progress_one_cached`]); formulas with slack 0
     /// keep direct `(state, formula, min(elapsed, horizon))` entries, flagged
     /// so they never collide with the shifted entries of the same canonical
     /// id (the observation participates in an open window only for the
@@ -433,9 +430,8 @@ pub struct Interner {
     /// residual's horizon (progression is elapsed-independent beyond it).
     one_cache: FxHashMap<OneKey, FormulaId>,
     /// Cumulative hit/miss tallies of the two caches (telemetry; preserved
-    /// across [`Interner::compact`]). `Cell` because lookups take `&self` —
-    /// this makes the sequential arena `!Sync`, which it already was in
-    /// spirit: concurrent paths use [`crate::ShardedInterner`].
+    /// across [`Interner::compact`]). `Cell` because lookups take `&self`
+    /// (which makes the arena `!Sync`; it is a single-threaded structure).
     stats: CacheStatCells,
     /// Memoised gap progressions, keyed `(canonical residual, elapsed −
     /// shift)` packed into a [`GapKey`] scalar. Gap progression has no
@@ -511,7 +507,7 @@ impl Interner {
         self.ids.insert(node, id);
         if slack > 0 && slack < u64::MAX {
             self.ever_shifted = true;
-            let canon = <Self as crate::ArenaOps>::translate_down(self, id, slack);
+            let canon = self.translate_down(id, slack);
             self.metas[id.index()].canon = canon;
         }
         id
@@ -632,7 +628,7 @@ impl Interner {
     ///   left argument would anchor those progressions at absolute times;
     /// * boolean connectives take the minimum of their operands.
     ///
-    /// The slack is the `shift` of [`crate::ArenaOps::normalize`] and the
+    /// The slack is the `shift` of [`Interner::normalize`] and the
     /// soundness bound of every shift-relative memoisation in this crate and
     /// the solver: two formulas with the same [`Interner::shift_canon`] and
     /// slacks ≥ 1 are exact time-translates whose progressions coincide at
@@ -838,29 +834,17 @@ impl Interner {
             Node::False => Formula::False,
             Node::Atom(p) => Formula::Atom(p.clone()),
             Node::Not(a) => Formula::not(self.resolve(*a)),
-            Node::And(children) => self.resolve_nary(children, true),
-            Node::Or(children) => self.resolve_nary(children, false),
+            Node::And(children) => {
+                fold_nary(children.iter().map(|&c| self.resolve(c)).collect(), true)
+            }
+            Node::Or(children) => {
+                fold_nary(children.iter().map(|&c| self.resolve(c)).collect(), false)
+            }
             Node::Implies(a, b) => Formula::implies(self.resolve(*a), self.resolve(*b)),
             Node::Until(a, i, b) => Formula::until(self.resolve(*a), *i, self.resolve(*b)),
             Node::Eventually(i, a) => Formula::eventually(*i, self.resolve(*a)),
             Node::Always(i, a) => Formula::always(*i, self.resolve(*a)),
         }
-    }
-
-    // n-ary nodes hold >= 2 operands by the smart-constructor invariant.
-    #[allow(clippy::expect_used)]
-    fn resolve_nary(&self, children: &[FormulaId], conjunction: bool) -> Formula {
-        let mut resolved: Vec<Formula> = children.iter().map(|&c| self.resolve(c)).collect();
-        resolved.sort();
-        let mut iter = resolved.into_iter();
-        let first = iter.next().expect("n-ary nodes have at least two operands");
-        iter.fold(first, |acc, f| {
-            if conjunction {
-                Formula::and(acc, f)
-            } else {
-                Formula::or(acc, f)
-            }
-        })
     }
 
     // ------------------------------------------------------------------
@@ -1106,116 +1090,6 @@ impl Interner {
         self.states.push(state.clone());
         self.state_ids.insert(state.clone(), key);
         key
-    }
-
-    /// Memoised [`Interner::progress_one`] over an interned state: the result
-    /// of progressing `id` across a single observation of state `key` with
-    /// `elapsed` time units between the observation and the next anchor.
-    ///
-    /// `progress_one(state, time, id, next)` depends on its two time
-    /// arguments only through `next − time`, and beyond the formula's
-    /// [temporal horizon](Interner::temporal_horizon) not even on that — so
-    /// the memo key clamps the elapsed time at the horizon and one cache
-    /// entry serves every tick of the stable tail of any window, across all
-    /// segments the interner lives through. The memoisation is applied at
-    /// *every* recursion level, so structurally shared subformulas (e.g. the
-    /// per-process obligations of a replicated specification, or the stable
-    /// core of a `□`-residual) are progressed once per `(state, elapsed)`
-    /// no matter how many pending formulas contain them.
-    pub fn progress_one_cached(&mut self, key: StateKey, id: FormulaId, elapsed: u64) -> FormulaId {
-        // The algorithm lives in `ArenaOps` so the sequential and sharded
-        // arenas share one implementation.
-        <Self as crate::ArenaOps>::progress_one_cached(self, key, id, elapsed)
-    }
-
-    /// Memoised [`Interner::progress_gap`] (same per-node elapsed-clamping
-    /// memo as [`Interner::progress_one_cached`]).
-    pub fn progress_gap_cached(&mut self, id: FormulaId, elapsed: u64) -> FormulaId {
-        <Self as crate::ArenaOps>::progress_gap_cached(self, id, elapsed)
-    }
-
-    /// Interval-splitting progression: partitions the occurrence-time window
-    /// `[lo, hi]` (inclusive) of the *next* observation into maximal
-    /// [`SplitRange`]s — ranges whose residuals the caller may treat as one
-    /// search node — and returns them in increasing time order.
-    ///
-    /// The pending formula `id` is anchored at `time` and the observation
-    /// being consumed is `state` at `time`. Each returned range `[a, b]`
-    /// carries the residual at its earliest point `a` and a
-    /// [`crate::RangeKind`] describing the rest of the range:
-    ///
-    /// * [`crate::RangeKind::Uniform`] — `progress_one(state, time, id, t)` is the
-    ///   same formula at every `t ∈ [a, b]`;
-    /// * [`crate::RangeKind::Translated`] — the residual at `a + k` is the exact
-    ///   time-translate `translate_down(residual, k)`: the range sweeps one
-    ///   shift-normal zone ([`Interner::shift_canon`] constant, shift
-    ///   decrementing per tick, never reaching 0 inside the range).
-    ///
-    /// Two mechanisms bound the number of progression calls by
-    /// `min(hi − lo, temporal_horizon(id)) + 1` instead of `hi − lo + 1`:
-    ///
-    /// * beyond the stability threshold `time + temporal_horizon(id)` the
-    ///   residual no longer depends on `t`, so the entire tail of the window
-    ///   is resolved with a single progression call;
-    /// * below the threshold, adjacent time points merge into one range when
-    ///   the shared residual is *time-invariant*
-    ///   ([`Interner::is_time_invariant`]) or when consecutive residuals are
-    ///   exact unit translates of each other with shifts that stay ≥ 1. In
-    ///   both cases the caller is entitled to collapse the range to its
-    ///   earliest point: the reachable rewrite set from pending time `t`
-    ///   within one zone shrinks monotonically in `t` (later members can only
-    ///   schedule a subset of the event times available to earlier ones,
-    ///   while the residuals produced at matching absolute times coincide),
-    ///   so the union over the range equals the contribution of its infimum.
-    ///   The shift-0 member of a zone (the tick at which the window opens) is
-    ///   never merged into the translated range: from that tick on the
-    ///   observation falls *inside* the window and the progression changes
-    ///   shape.
-    ///
-    /// The invariant-only uniform rule still applies to the stable tail: a
-    /// non-invariant tail residual (a bounded operator nested under an
-    /// unbounded one) is returned as one multi-point `Uniform` range — saving
-    /// the per-tick progression calls — and the caller must still treat each
-    /// time point of that range as a distinct search state.
-    pub fn progress_one_over(
-        &mut self,
-        state: &State,
-        time: u64,
-        id: FormulaId,
-        lo: u64,
-        hi: u64,
-    ) -> Vec<SplitRange> {
-        let key = self.intern_state(state);
-        self.progress_one_over_keyed(key, time, id, lo, hi)
-    }
-
-    /// [`Interner::progress_one_over`] for a pre-interned observation state —
-    /// the solver interns each cut frontier once and reuses the key across
-    /// every window explored at that cut.
-    pub fn progress_one_over_keyed(
-        &mut self,
-        key: StateKey,
-        time: u64,
-        id: FormulaId,
-        lo: u64,
-        hi: u64,
-    ) -> Vec<SplitRange> {
-        <Self as crate::ArenaOps>::progress_one_over_keyed(self, key, time, id, lo, hi)
-    }
-
-    /// Interval-splitting counterpart of [`Interner::progress_gap`]: partitions
-    /// the window `[lo, hi]` of the next anchor time into maximal ranges on
-    /// which `progress_gap(id, t − base)` is constant or translate-swept.
-    /// `base` is the anchor time of `id`. Same contract and merge rules as
-    /// [`Interner::progress_one_over`].
-    pub fn progress_gap_over(
-        &mut self,
-        id: FormulaId,
-        base: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Vec<SplitRange> {
-        <Self as crate::ArenaOps>::progress_gap_over(self, id, base, lo, hi)
     }
 
     /// Progression over an observation gap of `elapsed` time units — the
@@ -1474,8 +1348,7 @@ impl Interner {
     }
 }
 
-/// Memory footprint of an arena, in table entries (see [`Interner::memory`]
-/// and [`crate::ShardedInterner::memory`]).
+/// Memory footprint of an arena, in table entries (see [`Interner::memory`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaMemory {
     /// Number of interned formula nodes.
@@ -1496,13 +1369,13 @@ impl ArenaMemory {
 }
 
 /// Cumulative hit/miss tallies of the two progression caches (see
-/// [`Interner::cache_stats`] and [`crate::ShardedInterner::cache_stats`]).
+/// [`Interner::cache_stats`]).
 ///
 /// The tallies are monotone over the arena's lifetime: [`Interner::compact`]
 /// rebuilds the cache tables but leaves the counters in place, so a stream's
-/// figures accumulate across GC epochs. Counting happens inside the four
-/// [`crate::ArenaOps`] cache accessors — the only paths the progression
-/// algorithms probe the caches through — so a lookup is counted exactly once.
+/// figures accumulate across GC epochs. Counting happens inside the
+/// interner's cache accessors — the only paths the progression algorithms
+/// probe the caches through — so a lookup is counted exactly once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Single-observation progression lookups that found an entry.
@@ -1532,8 +1405,8 @@ impl CacheStats {
     }
 }
 
-/// Interior-mutable tally cells for [`CacheStats`] inside the sequential
-/// [`Interner`] (`Cell` keeps the arena `Clone`; lookups take `&self`).
+/// Interior-mutable tally cells for [`CacheStats`] inside the [`Interner`]
+/// (`Cell` keeps the arena `Clone`; lookups take `&self`).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CacheStatCells {
     one_hits: Cell<u64>,
@@ -1625,60 +1498,33 @@ impl FormulaRemap {
     }
 }
 
-impl crate::ArenaOps for Interner {
-    fn node(&self, id: FormulaId) -> Node {
-        self.nodes[id.index()].clone()
-    }
+/// Left-associates resolved n-ary operands in structural order (the shape
+/// [`crate::simplify`] produces), so resolutions agree with simplification.
+// n-ary nodes hold >= 2 operands by the smart-constructor invariant.
+#[allow(clippy::expect_used)]
+pub(crate) fn fold_nary(mut resolved: Vec<Formula>, conjunction: bool) -> Formula {
+    resolved.sort();
+    let mut iter = resolved.into_iter();
+    let first = iter.next().expect("n-ary nodes have at least two operands");
+    iter.fold(first, |acc, f| {
+        if conjunction {
+            Formula::and(acc, f)
+        } else {
+            Formula::or(acc, f)
+        }
+    })
+}
 
-    fn state_holds(&self, key: StateKey, p: &crate::Prop) -> bool {
+/// The cache and state accessors the progression algorithms (`arena.rs`)
+/// are written against. Every lookup tallies into [`CacheStats`].
+impl Interner {
+    /// Returns `true` if the interned state `key` satisfies the proposition.
+    pub(crate) fn state_holds(&self, key: StateKey, p: &Prop) -> bool {
         self.states[key.index()].holds_prop(p)
     }
 
-    fn node_meta(&self, id: FormulaId) -> NodeMeta {
-        Interner::node_meta(self, id)
-    }
-
-    fn ever_shifted(&self) -> bool {
-        Interner::ever_shifted(self)
-    }
-
-    fn intern_state(&mut self, state: &State) -> StateKey {
-        Interner::intern_state(self, state)
-    }
-
-    fn mk_atom(&mut self, p: crate::Prop) -> FormulaId {
-        Interner::mk_atom(self, p)
-    }
-
-    fn mk_not(&mut self, a: FormulaId) -> FormulaId {
-        Interner::mk_not(self, a)
-    }
-
-    fn mk_and_all(&mut self, parts: Vec<FormulaId>) -> FormulaId {
-        Interner::mk_and_all(self, parts)
-    }
-
-    fn mk_or_all(&mut self, parts: Vec<FormulaId>) -> FormulaId {
-        Interner::mk_or_all(self, parts)
-    }
-
-    fn mk_implies(&mut self, a: FormulaId, b: FormulaId) -> FormulaId {
-        Interner::mk_implies(self, a, b)
-    }
-
-    fn mk_until(&mut self, a: FormulaId, i: Interval, b: FormulaId) -> FormulaId {
-        Interner::mk_until(self, a, i, b)
-    }
-
-    fn mk_eventually(&mut self, i: Interval, a: FormulaId) -> FormulaId {
-        Interner::mk_eventually(self, i, a)
-    }
-
-    fn mk_always(&mut self, i: Interval, a: FormulaId) -> FormulaId {
-        Interner::mk_always(self, i, a)
-    }
-
-    fn one_cache_get(&self, key: OneKey) -> Option<FormulaId> {
+    /// Looks up a memoised single-observation progression.
+    pub(crate) fn one_cache_get(&self, key: OneKey) -> Option<FormulaId> {
         let found = self.one_cache.get(&key).copied();
         CacheStatCells::tally(if found.is_some() {
             &self.stats.one_hits
@@ -1688,11 +1534,13 @@ impl crate::ArenaOps for Interner {
         found
     }
 
-    fn one_cache_put(&mut self, key: OneKey, value: FormulaId) {
+    /// Memoises a single-observation progression.
+    pub(crate) fn one_cache_put(&mut self, key: OneKey, value: FormulaId) {
         self.one_cache.insert(key, value);
     }
 
-    fn gap_cache_get(&self, key: GapKey) -> Option<FormulaId> {
+    /// Looks up a memoised gap progression.
+    pub(crate) fn gap_cache_get(&self, key: GapKey) -> Option<FormulaId> {
         let found = self.gap_cache.get(&key).copied();
         CacheStatCells::tally(if found.is_some() {
             &self.stats.gap_hits
@@ -1702,11 +1550,16 @@ impl crate::ArenaOps for Interner {
         found
     }
 
-    fn gap_cache_put(&mut self, key: GapKey, value: FormulaId) {
+    /// Memoises a gap progression.
+    pub(crate) fn gap_cache_put(&mut self, key: GapKey, value: FormulaId) {
         self.gap_cache.insert(key, value);
     }
 
-    fn one_cache_get_batch(&self, keys: &[OneKey], out: &mut Vec<Option<FormulaId>>) {
+    /// Probes the one-cache for every key of a run, in order, writing one
+    /// `Option` per key into `out` (cleared first). Tallies exactly like a
+    /// loop of [`Interner::one_cache_get`] — one probe per key — folded into
+    /// one cell update per outcome.
+    pub(crate) fn one_cache_get_batch(&self, keys: &[OneKey], out: &mut Vec<Option<FormulaId>>) {
         out.clear();
         out.reserve(keys.len());
         let mut hits = 0u64;
@@ -1724,7 +1577,9 @@ impl crate::ArenaOps for Interner {
         CacheStatCells::tally_n(&self.stats.one_misses, misses);
     }
 
-    fn gap_cache_get_batch(&self, keys: &[GapKey], out: &mut Vec<Option<FormulaId>>) {
+    /// Batched counterpart of [`Interner::gap_cache_get`]; same contract as
+    /// [`Interner::one_cache_get_batch`].
+    pub(crate) fn gap_cache_get_batch(&self, keys: &[GapKey], out: &mut Vec<Option<FormulaId>>) {
         out.clear();
         out.reserve(keys.len());
         let mut hits = 0u64;
@@ -1740,20 +1595,6 @@ impl crate::ArenaOps for Interner {
         }
         CacheStatCells::tally_n(&self.stats.gap_hits, hits);
         CacheStatCells::tally_n(&self.stats.gap_misses, misses);
-    }
-
-    // The inherent implementations of these two stay authoritative (they
-    // avoid the per-node clone of the generic defaults).
-    fn eval_empty(&self, id: FormulaId) -> bool {
-        Interner::eval_empty(self, id)
-    }
-
-    fn resolve(&self, id: FormulaId) -> Formula {
-        Interner::resolve(self, id)
-    }
-
-    fn intern(&mut self, phi: &Formula) -> FormulaId {
-        Interner::intern(self, phi)
     }
 }
 
@@ -1882,9 +1723,7 @@ mod tests {
     fn residual_at(interner: &mut Interner, r: &crate::SplitRange, t: u64) -> FormulaId {
         match r.kind {
             crate::RangeKind::Uniform => r.residual,
-            crate::RangeKind::Translated => {
-                <Interner as crate::ArenaOps>::translate_down(interner, r.residual, t - r.lo)
-            }
+            crate::RangeKind::Translated => interner.translate_down(r.residual, t - r.lo),
         }
     }
 
@@ -2031,7 +1870,6 @@ mod tests {
     #[test]
     fn normalize_materialize_roundtrips() {
         let mut interner = Interner::new();
-        use crate::ArenaOps;
         for text in [
             "F[6,12) b",
             "a U[3,9) b",

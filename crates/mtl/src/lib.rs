@@ -53,14 +53,13 @@ mod intern;
 mod interval;
 mod parser;
 mod progress;
-mod sharded;
 mod simplify;
 pub mod snapshot;
 mod state;
 pub mod testgen;
 mod trace;
 
-pub use arena::{ArenaOps, ProbeScratch, RangeKind, SplitRange};
+pub use arena::{ProbeScratch, RangeKind, SplitRange};
 pub use atom::Prop;
 pub use eval::{evaluate, evaluate_at, evaluate_from};
 pub use formula::Formula;
@@ -71,7 +70,6 @@ pub use intern::{
 pub use interval::Interval;
 pub use parser::{parse, ParseError};
 pub use progress::{progress, progress_default, progress_gap};
-pub use sharded::ShardedInterner;
 pub use simplify::simplify;
 pub use state::State;
 pub use trace::{TimedTrace, TraceError};

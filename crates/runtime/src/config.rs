@@ -11,17 +11,11 @@ pub struct StreamConfig {
     /// Base (anchor) time of the stream: the first segment starts here and
     /// every query is anchored here. Defaults to 0.
     pub base_time: u64,
-    /// Process queued closed segments through the pipelined worker pool
-    /// (requires `workers > 1` to take effect; the sequential path is used
-    /// otherwise).
-    pub pipeline: bool,
-    /// Worker-thread count for the pipelined path. `None` uses
-    /// [`std::thread::available_parallelism`].
-    pub workers: Option<usize>,
-    /// Number of closed segments to buffer before processing them as one
-    /// pipelined batch. Deeper buffers expose more segment-level parallelism
-    /// at the cost of verdict latency. Defaults to 1 (process as soon as a
-    /// segment closes).
+    /// Number of closed segments to buffer before processing them, in
+    /// order, as one batch. Deeper buffers defer solver work to fewer,
+    /// larger drains at the cost of verdict latency; exhaustive (unbounded)
+    /// runs reach the same verdicts at every depth. Defaults to 1 (process
+    /// as soon as a segment closes).
     pub flush_depth: usize,
     /// Hard bound on the closed-segment queue (backpressure): when an
     /// [`crate::StreamMonitor::observe`] or
@@ -35,12 +29,9 @@ pub struct StreamConfig {
     pub max_queued_segments: Option<usize>,
     /// Upper bound on distinct rewritten formulas kept per pending formula
     /// per segment (`None` = unbounded; see
-    /// [`rvmtl_monitor::MonitorConfig::max_solutions_per_segment`]).
-    ///
-    /// Note: under the pipelined path a bound makes the *choice* of kept
-    /// rewrites scheduling-dependent (the set of verdicts found is still
-    /// sound, but which `limit` representatives survive may vary run to
-    /// run); exhaustive (unbounded) runs are fully deterministic.
+    /// [`rvmtl_monitor::MonitorConfig::max_solutions_per_segment`]). Which
+    /// `limit` representatives are kept is a deterministic function of the
+    /// stream and the configuration.
     pub max_solutions_per_segment: Option<usize>,
     /// Compact the query-spanning arena every this many processed segments
     /// (the GC epoch; 0 disables compaction). Defaults to 32.
@@ -76,7 +67,7 @@ pub struct StreamConfig {
 
 impl StreamConfig {
     /// A configuration with the given segment length and defaults everywhere
-    /// else (sequential processing, GC every 32 segments).
+    /// else (flush every closed segment, GC every 32 segments).
     ///
     /// # Panics
     ///
@@ -86,8 +77,6 @@ impl StreamConfig {
         StreamConfig {
             segment_length,
             base_time: 0,
-            pipeline: false,
-            workers: None,
             flush_depth: 1,
             max_queued_segments: None,
             max_solutions_per_segment: None,
@@ -117,14 +106,6 @@ impl StreamConfig {
     /// fault-semantics table).
     pub fn fault_policy(mut self, policy: FaultPolicy) -> Self {
         self.fault_policy = policy;
-        self
-    }
-
-    /// Enables the pipelined worker pool with the given thread count
-    /// (`None` = [`std::thread::available_parallelism`]).
-    pub fn pipelined(mut self, workers: Option<usize>) -> Self {
-        self.pipeline = true;
-        self.workers = workers;
         self
     }
 
@@ -190,15 +171,6 @@ impl StreamConfig {
         self.max_solutions_per_segment = Some(limit);
         self
     }
-
-    /// The effective worker count of the pipelined path.
-    pub fn effective_workers(&self) -> usize {
-        self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -209,7 +181,6 @@ mod tests {
     fn builder_defaults() {
         let cfg = StreamConfig::new(10);
         assert_eq!(cfg.segment_length, 10);
-        assert!(!cfg.pipeline);
         assert_eq!(cfg.flush_depth, 1);
         assert_eq!(cfg.gc_interval, 32);
         assert_eq!(cfg.fault_policy, FaultPolicy::Strict);
@@ -218,7 +189,6 @@ mod tests {
         assert!(!cfg.telemetry);
         assert_eq!(cfg.flight_capacity, 1024);
         let cfg = cfg
-            .pipelined(Some(4))
             .flush_depth(8)
             .gc_interval(0)
             .max_solutions(2)
@@ -228,8 +198,6 @@ mod tests {
             .flight_capacity(64);
         assert!(cfg.telemetry);
         assert_eq!(cfg.flight_capacity, 64);
-        assert!(cfg.pipeline);
-        assert_eq!(cfg.effective_workers(), 4);
         assert_eq!(cfg.flush_depth, 8);
         assert_eq!(cfg.gc_interval, 0);
         assert_eq!(cfg.max_solutions_per_segment, Some(2));

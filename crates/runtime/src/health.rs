@@ -22,8 +22,9 @@ pub struct RuntimeHealth {
     /// Events beyond the closed segment boundary (late beyond `ε`) dropped
     /// under [`crate::FaultPolicy::BestEffort`].
     pub late_beyond_epsilon: u64,
-    /// Work items lost to a panicking solver stage; each lost item degrades
-    /// exactly one query.
+    /// Pending-formula solves lost to a panic: each `(query, segment,
+    /// pending formula)` solve runs isolated under `catch_unwind`, and each
+    /// lost solve degrades exactly one query.
     pub worker_panics: u64,
     /// Times ingestion forced a queue flush because the closed-segment queue
     /// hit [`crate::StreamConfig::max_queued_segments`] before the configured

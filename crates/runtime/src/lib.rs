@@ -24,32 +24,22 @@
 //! `tests/differential.rs` pins this on the synthetic corpus and the
 //! protocol drivers.
 //!
-//! # 2. Pipelined segment stages (same-segment batching)
+//! # 2. The segment loop
 //!
-//! Closed segments buffer up to the configured flush depth and are processed
-//! as one batch by a pool of scoped worker threads (`std::thread::scope`).
-//! The unit of work is one `(query, segment, pending formula)` triple, but
-//! workers *drain and solve in same-segment batches*: a worker pops an item
-//! and takes every queued item of the same segment along with it (capped to
-//! a fair share under contention), progressing the whole batch through
-//! **one** [`rvmtl_solver::SegmentSolver`] — the segment's cache slot is
-//! taken and merged back once per batch, and the solver's pooled work-stack
-//! frames and probe scratch stay warm across it. Each distinct rewritten
-//! formula is enqueued immediately as a work item for the next segment, so
-//! segment `k + 1` starts progressing a formula **as soon as stage `k`
-//! emits it** — there is no barrier between segments, and idle cores pick
-//! up whatever stage has work. Per-`(segment, query)` dedup sets keep the
-//! pending-set semantics identical to the sequential union; a per-segment
-//! result cache additionally collapses *cross-query* duplicates (several
-//! queries carrying the same canonical pending obligation solve the segment
-//! once), and the solver's per-segment memo/feasibility caches
-//! ([`rvmtl_solver::SegmentCaches`]) live in one slot per segment, taken
-//! and merged back per batch instead of rebuilt per formula. A query
-//! registered mid-stream ([`StreamMonitor::add_query`] after segments
-//! closed) is re-anchored at the current watermark boundary and enters the
-//! pipeline at that boundary's stage.
+//! Closed segments buffer up to the configured flush depth
+//! ([`StreamConfig::flush_depth`]) and are then processed in order, one
+//! segment after another — the paper's monitor (Sec. V) progresses each
+//! segment's pending formulas before the next segment's, so the loop is
+//! sequential by construction. Each segment gets **one**
+//! [`rvmtl_solver::SegmentSolver`], shared by every pending formula of every
+//! query: its memo, feasibility and per-cut caches, pooled work-stack frames
+//! and probe scratch are built once per segment and reused across queries,
+//! so several queries carrying the same canonical pending obligation pay for
+//! its search once. A query registered mid-stream
+//! ([`StreamMonitor::add_query`] after segments closed) is re-anchored at
+//! the current watermark boundary and skips every segment before it.
 //!
-//! Inside each batch the solver explores with the data-oriented work-stack
+//! Inside each segment the solver explores with the data-oriented work-stack
 //! engine ([`rvmtl_solver::ExploreEngine::WorkStack`], the default): an
 //! explicit frontier over flat batches with batched one/gap cache probes
 //! and staged memo slots. The reference recursion
@@ -58,17 +48,13 @@
 //! execute the identical search, so the choice never shows in verdicts or
 //! search-shape counters.
 //!
-//! # 3. One arena, shared — ids remapped at stage boundaries
+//! # 3. One arena across the stream
 //!
-//! Workers intern rewritten formulas into one
-//! [`rvmtl_mtl::ShardedInterner`] — the arena is split into hash-addressed
-//! shards, each behind its own lock, so worker threads intern and hit the
-//! `one_cache`/`gap_cache` progression memos concurrently instead of
-//! rebuilding a throwaway interner per formula (the pre-runtime parallel
-//! path's design, deleted with this crate). Between batches the pending ids
-//! are remapped into the exclusive query-spanning [`rvmtl_mtl::Interner`]
-//! (structural re-interning; both arenas hash-cons, so this is a lookup per
-//! node) where they live between stages and across the monitor's lifetime.
+//! Every pending formula of every query lives in one query-spanning
+//! [`rvmtl_mtl::Interner`], alive across the monitor's lifetime: the stable
+//! parts of each specification are interned once, and the arena's
+//! `one_cache`/`gap_cache` progression memos stay warm across segments and
+//! queries.
 //!
 //! Pending sets are held in *shift-normal form*
 //! ([`rvmtl_mtl::ShiftedId`]): an obligation is stored as its canonical
@@ -86,10 +72,9 @@
 //! `u32` formula ids rooted at the *canonical residuals* of the live pending
 //! sets (their materialised translates are rebuilt on demand). Dead nodes,
 //! dead observation states and progression-cache entries with a dead
-//! endpoint are reclaimed; surviving entries keep their warmth. The worker
-//! arena is reset on the same epochs. Long-running monitoring therefore
-//! holds a bounded arena regardless of stream length — pinned by the GC
-//! tests. Backpressure on the closed-segment queue
+//! endpoint are reclaimed; surviving entries keep their warmth. Long-running
+//! monitoring therefore holds a bounded arena regardless of stream length —
+//! pinned by the GC tests. Backpressure on the closed-segment queue
 //! ([`StreamConfig::max_queued_segments`]) bounds the ingestion side the
 //! same way.
 //!
@@ -121,13 +106,11 @@
 //! fault-injection differential suite in `tests/faults.rs`, driven by the
 //! deterministic seeded [`FaultInjector`].
 //!
-//! Solver stages are *panic-isolated*: each `(query, segment, pending
-//! formula)` work item runs under `catch_unwind` on both execution paths, so
-//! a panicking obligation is lost alone — it is reported as an inconclusive
-//! verdict, its query is tagged `Degraded { worker_panics, .. }`, and every
-//! other obligation and query proceeds exactly. Shared-state locks recover
-//! from poisoning (the guarded structures are consistent at every panic
-//! point); the global [`RuntimeHealth`] surface
+//! Solves are *panic-isolated*: each `(query, segment, pending formula)`
+//! solve runs under `catch_unwind`, so a panicking obligation is lost alone
+//! — it is reported as an inconclusive verdict, its query is tagged
+//! `Degraded { worker_panics, .. }`, and every other obligation and query
+//! proceeds exactly. The global [`RuntimeHealth`] surface
 //! ([`StreamMonitor::health`]) counts rejections, absorptions, lost items
 //! and backpressure stalls in one place.
 //!
@@ -164,8 +147,8 @@
 //! watermark; only events after the per-process clocks it carries need to
 //! be re-fed (at most one open segment plus `ε` of history per process),
 //! and the restart-differential suite in `tests/checkpoint.rs` pins
-//! restored runs verdict-identical to uninterrupted ones across both
-//! execution paths and all three fault policies.
+//! restored runs verdict-identical to uninterrupted ones across flush
+//! depths, GC cadences and all three fault policies.
 //!
 //! # 7. Observability (telemetry, flight recorder, exposition)
 //!
@@ -179,13 +162,12 @@
 //!   These are bridged from always-on monitor state at snapshot time by
 //!   [`StreamMonitor::telemetry`]: they cost nothing extra, work whether or
 //!   not telemetry is enabled, and are **deterministic** — identical across
-//!   the sequential and pipelined execution paths and across
-//!   checkpoint/restore of the same stream, so the bench pin suite pins
-//!   them like any other search-shape figure.
+//!   flush depths and across checkpoint/restore of the same stream, so the
+//!   bench pin suite pins them like any other search-shape figure.
 //! * **Timing instruments** — log2-bucketed histograms (p50/p90/p99) of
 //!   segment solve time, batch solve time, event-to-verdict latency,
 //!   per-query verdict latency, GC pause, checkpoint write time and
-//!   per-work-item wall time, plus pipeline busy/wall counters. These exist
+//!   per-work-item wall time. These exist
 //!   only under [`StreamConfig::with_telemetry`]; disabled, every
 //!   instrument is a no-op handle and each call site costs one never-taken
 //!   branch (the enabled-path overhead budget is ~2% on the bench
@@ -195,8 +177,8 @@
 //! last `flight_capacity` lifecycle events — event observed → segment
 //! closed → queued → solve start → solved → GC epoch → checkpoint written —
 //! in a ring allocated once and never reallocated. Events are recorded only
-//! from the monitor's own thread at deterministic points, so the *kind
-//! sequence* is identical across execution paths (timestamps differ);
+//! at deterministic points, so the *kind sequence* is a function of the
+//! stream and the flush depth (timestamps differ run to run);
 //! [`FlightRecorder::dump_jsonl`] dumps the window as JSON Lines and
 //! [`FlightRecorder::segment_latencies_micros`] derives per-segment
 //! close→solved latency from it.
@@ -210,9 +192,9 @@
 //! # Multi-query front end
 //!
 //! [`StreamMonitor::add_query`] multiplexes any number of formulas over one
-//! stream: segmentation, solver per-segment caches (sequential path), the
-//! shared worker arena (pipelined path) and GC epochs are all shared;
-//! pending sets, verdicts and integrity tags stay per-query.
+//! stream: segmentation, the per-segment solver caches, the arena and GC
+//! epochs are all shared; pending sets, verdicts and integrity tags stay
+//! per-query.
 //!
 //! # Wire ingestion
 //!
@@ -254,7 +236,6 @@ pub mod checkpoint;
 mod config;
 mod health;
 mod monitor;
-mod pipeline;
 mod telemetry;
 
 pub use checkpoint::CheckpointError;

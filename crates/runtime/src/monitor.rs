@@ -5,16 +5,13 @@ use crate::checkpoint::{
     decode_monitor, encode_monitor, epochs_newest_first, write_epoch, CheckpointError,
     MonitorCounters, MonitorImage, QueryImage,
 };
-use crate::pipeline::run_pipeline;
 use crate::telemetry::RuntimeMetrics;
 use crate::{RuntimeHealth, StreamConfig};
 use rvmtl_distrib::{
     DistributedComputation, FaultCounters, FaultPolicy, IncrementalSegmenter, StreamError,
 };
 use rvmtl_monitor::{Integrity, Verdict, VerdictSet};
-use rvmtl_mtl::{
-    ArenaMemory, ArenaOps, Formula, FormulaId, Interner, ShardedInterner, ShiftedId, State,
-};
+use rvmtl_mtl::{ArenaMemory, Formula, FormulaId, Interner, ShiftedId, State};
 use rvmtl_obs::{FlightKind, FlightRecorder, Stopwatch, TelemetrySnapshot};
 use rvmtl_solver::{SegmentSolver, SolverStats};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -140,24 +137,20 @@ impl fmt::Display for StreamReport {
 }
 
 /// A streaming monitoring engine: ingests per-process event streams, closes
-/// segments by the watermark rule, runs closed segments through sequential or
-/// pipelined solver stages, and multiplexes any number of MTL queries over
-/// one shared segmentation.
+/// segments by the watermark rule, progresses the pending formulas of every
+/// query through each closed segment in order, and multiplexes any number of
+/// MTL queries over one shared segmentation.
 ///
-/// See the crate documentation for the architecture (watermark rule, pipeline
-/// stages, GC epochs). The verdict sets produced are identical to running the
+/// See the crate documentation for the architecture (watermark rule, segment
+/// loop, GC epochs). The verdict sets produced are identical to running the
 /// batch [`rvmtl_monitor::Monitor`] over the completed computation with the
 /// same segment boundaries — pinned by the differential test suite.
 pub struct StreamMonitor {
     config: StreamConfig,
     segmenter: IncrementalSegmenter,
-    /// The query-spanning arena every pending formula lives in between
-    /// stages; compacted at GC epochs.
-    arena: Interner,
-    /// The worker arena of the pipelined path, shared (with its progression
-    /// caches) across every worker, segment, and query of an epoch; reset at
+    /// The query-spanning arena every pending formula lives in; compacted at
     /// GC epochs.
-    shared: ShardedInterner,
+    arena: Interner,
     queries: Vec<QueryState>,
     queue: VecDeque<QueuedSegment>,
     segments_processed: usize,
@@ -166,7 +159,7 @@ pub struct StreamMonitor {
     stats: SolverStats,
     /// Events and heartbeats rejected with a [`StreamError`].
     rejected: u64,
-    /// Work items lost to panicking solver stages, across all queries.
+    /// Pending-formula solves lost to a panic, across all queries.
     worker_panics: u64,
     /// Forced queue flushes triggered by the backpressure bound.
     backpressure_stalls: u64,
@@ -216,7 +209,6 @@ impl StreamMonitor {
             config,
             segmenter,
             arena: Interner::new(),
-            shared: ShardedInterner::new(),
             queries: Vec::new(),
             queue: VecDeque::new(),
             segments_processed: 0,
@@ -248,7 +240,7 @@ impl StreamMonitor {
     pub fn add_query(&mut self, phi: &Formula) -> QueryId {
         let anchored_at = self.segmenter.open_base();
         let root = self.arena.intern(phi);
-        let root = ArenaOps::normalize(&self.arena, root);
+        let root = self.arena.normalize(root);
         self.metrics.register_query();
         self.queries.push(QueryState {
             root: phi.clone(),
@@ -481,9 +473,9 @@ impl StreamMonitor {
     /// instrument (empty unless [`StreamConfig::with_telemetry`] was set)
     /// plus the count-shape metrics bridged from always-on monitor state —
     /// those are exact whether or not telemetry is enabled, and being
-    /// state-derived they are deterministic across execution paths (the
-    /// bench pin suite pins them). Instruments are sorted by name so the
-    /// text exposition groups each metric family under one `# TYPE` line.
+    /// state-derived they are deterministic (the bench pin suite pins
+    /// them). Instruments are sorted by name so the text exposition groups
+    /// each metric family under one `# TYPE` line.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         let mut snap = self.metrics.registry.snapshot();
         let faults = self.segmenter.fault_counters();
@@ -521,16 +513,14 @@ impl StreamMonitor {
         self.stats.for_each_field(|name, value| {
             snap.push_counter(format!("rvmtl_solver_{name}_total"), "", value as u64);
         });
-        for (arena, stats) in [
-            ("query", self.arena.cache_stats()),
-            ("worker", self.shared.cache_stats()),
-        ] {
-            let labels = format!("arena=\"{arena}\"");
-            snap.push_counter("rvmtl_one_cache_hits_total", &labels, stats.one_hits);
-            snap.push_counter("rvmtl_one_cache_misses_total", &labels, stats.one_misses);
-            snap.push_counter("rvmtl_gap_cache_hits_total", &labels, stats.gap_hits);
-            snap.push_counter("rvmtl_gap_cache_misses_total", &labels, stats.gap_misses);
-        }
+        // The `arena="query"` label keeps the series names stable for
+        // existing scrapes and pins.
+        let labels = "arena=\"query\"";
+        let stats = self.arena.cache_stats();
+        snap.push_counter("rvmtl_one_cache_hits_total", labels, stats.one_hits);
+        snap.push_counter("rvmtl_one_cache_misses_total", labels, stats.one_misses);
+        snap.push_counter("rvmtl_gap_cache_hits_total", labels, stats.gap_hits);
+        snap.push_counter("rvmtl_gap_cache_misses_total", labels, stats.gap_misses);
         snap.push_counter(
             "rvmtl_flight_events_recorded_total",
             "",
@@ -548,24 +538,19 @@ impl StreamMonitor {
             "",
             i64::try_from(self.segmenter.open_span()).unwrap_or(i64::MAX),
         );
-        for (arena, memory) in [
-            ("query", self.arena.memory()),
-            ("worker", self.shared.memory()),
-        ] {
-            let labels = format!("arena=\"{arena}\"");
-            snap.push_gauge("rvmtl_arena_nodes", &labels, memory.nodes as i64);
-            snap.push_gauge("rvmtl_arena_states", &labels, memory.states as i64);
-            snap.push_gauge(
-                "rvmtl_arena_one_cache_entries",
-                &labels,
-                memory.one_cache_entries as i64,
-            );
-            snap.push_gauge(
-                "rvmtl_arena_gap_cache_entries",
-                &labels,
-                memory.gap_cache_entries as i64,
-            );
-        }
+        let memory = self.arena.memory();
+        snap.push_gauge("rvmtl_arena_nodes", labels, memory.nodes as i64);
+        snap.push_gauge("rvmtl_arena_states", labels, memory.states as i64);
+        snap.push_gauge(
+            "rvmtl_arena_one_cache_entries",
+            labels,
+            memory.one_cache_entries as i64,
+        );
+        snap.push_gauge(
+            "rvmtl_arena_gap_cache_entries",
+            labels,
+            memory.gap_cache_entries as i64,
+        );
         for (index, query) in self.queries.iter().enumerate() {
             snap.push_gauge(
                 "rvmtl_pending_obligations",
@@ -629,7 +614,7 @@ impl StreamMonitor {
         let resolved: BTreeSet<Formula> = query
             .pending
             .iter()
-            .map(|&s| ArenaOps::resolve_shifted(&self.arena, s))
+            .map(|&s| self.arena.resolve_shifted(s))
             .collect();
         let mut verdicts = VerdictSet::from_formulas(resolved.iter());
         // An obligation lost to a panic can never collapse to a constant: it
@@ -680,7 +665,7 @@ impl StreamMonitor {
             .map(|q| {
                 q.pending
                     .iter()
-                    .map(|&s| ArenaOps::resolve_shifted(&self.arena, s))
+                    .map(|&s| self.arena.resolve_shifted(s))
                     .collect()
             })
             .collect();
@@ -716,20 +701,15 @@ impl StreamMonitor {
         let batch: Vec<QueuedSegment> = self.queue.drain(..).collect();
         let processed = batch.len();
         let bases: Vec<u64> = batch.iter().map(|s| s.comp.base_time()).collect();
-        // Flight events are recorded here, from the monitor's thread, in
-        // batch order — never from workers — so the kind sequence is
-        // identical across the sequential and pipelined paths.
+        // Flight events are recorded at these fixed points in batch order,
+        // so the kind sequence depends only on the stream and the flush
+        // depth.
         for &base in &bases {
             self.metrics.flight.record(FlightKind::SolveStart { base });
         }
         let enabled = self.metrics.is_enabled();
         let batch_timer = enabled.then(Stopwatch::start);
-        let workers = self.config.effective_workers();
-        if self.config.pipeline && workers > 1 {
-            self.process_pipelined(batch, workers);
-        } else {
-            self.process_sequential(batch);
-        }
+        self.process_sequential(batch);
         let closes: Vec<(u64, Option<Instant>)> = bases
             .iter()
             .map(|base| (*base, self.closed_at.remove(base)))
@@ -771,7 +751,7 @@ impl StreamMonitor {
         }
     }
 
-    /// Sequential stage execution: one [`SegmentSolver`] per segment, shared
+    /// The segment loop: one [`SegmentSolver`] per segment, in order, shared
     /// by every pending formula of every query (cross-query memo sharing).
     /// Queries anchored after a segment's base skip it.
     fn process_sequential(&mut self, batch: Vec<QueuedSegment>) {
@@ -788,7 +768,7 @@ impl StreamMonitor {
                         query
                             .pending
                             .iter()
-                            .map(|&s| ArenaOps::materialize(&mut self.arena, s))
+                            .map(|&s| self.arena.materialize(s))
                             .collect()
                     })
                 })
@@ -806,10 +786,10 @@ impl StreamMonitor {
                 };
                 let mut out = BTreeSet::new();
                 for psi in seed {
-                    // Isolate the solve exactly like the pipelined path: a
-                    // panicking obligation is lost (recorded below, reported
-                    // inconclusive) while the query's other obligations and
-                    // every other query proceed.
+                    // Isolate the solve: a panicking obligation is lost
+                    // (recorded below, reported inconclusive) while the
+                    // query's other obligations and every other query
+                    // proceed.
                     let item_timer = enabled.then(Stopwatch::start);
                     match catch_unwind(AssertUnwindSafe(|| solver.progress(psi))) {
                         Ok(result) => {
@@ -830,16 +810,13 @@ impl StreamMonitor {
             }
             for (query, out) in self.queries.iter_mut().zip(outs) {
                 if let Some(out) = out {
-                    query.pending = out
-                        .into_iter()
-                        .map(|id| ArenaOps::normalize(&self.arena, id))
-                        .collect();
+                    query.pending = out.into_iter().map(|id| self.arena.normalize(id)).collect();
                 }
             }
             // Resolve lost obligations to plain formulas now, while their
             // ids are still valid (GC may renumber the arena later).
             for (qi, psi) in lost {
-                let phi = ArenaOps::resolve(&self.arena, psi);
+                let phi = self.arena.resolve(psi);
                 self.queries[qi].lost.insert(phi);
                 self.queries[qi].panics += 1;
                 self.worker_panics += 1;
@@ -847,85 +824,8 @@ impl StreamMonitor {
         }
     }
 
-    /// Pipelined stage execution over the shared sharded arena; pending ids
-    /// are remapped between the query-spanning arena and the worker arena at
-    /// the batch boundaries (structural re-interning — cheap, since both
-    /// arenas hash-cons). A query anchored mid-batch enters the pipeline at
-    /// the first segment of its boundary; identical pending formulas of
-    /// different queries solve once per segment (the pipeline's result cache
-    /// collapses the duplicate work items shift-normal pendings expose).
-    fn process_pipelined(&mut self, batch: Vec<QueuedSegment>, workers: usize) {
-        let segments: Vec<(DistributedComputation, u64)> =
-            batch.into_iter().map(|s| (s.comp, s.next_anchor)).collect();
-        let entries: Vec<usize> = self
-            .queries
-            .iter()
-            .map(|q| {
-                segments
-                    .iter()
-                    .position(|(comp, _)| comp.base_time() >= q.anchored_at)
-                    .unwrap_or(segments.len())
-            })
-            .collect();
-        let seeds: Vec<Vec<FormulaId>> = self
-            .queries
-            .iter()
-            .zip(&entries)
-            .map(|(q, &entry)| {
-                if entry >= segments.len() {
-                    // The query saw no segment of this batch: its pending set
-                    // passes through untouched, so nothing is re-interned
-                    // into the worker arena for it.
-                    return Vec::new();
-                }
-                q.pending
-                    .iter()
-                    .map(|&s| {
-                        self.shared
-                            .intern(&ArenaOps::resolve_shifted(&self.arena, s))
-                    })
-                    .collect()
-            })
-            .collect();
-        let wall_timer = self.metrics.is_enabled().then(Stopwatch::start);
-        let outcome = run_pipeline(
-            &segments,
-            &seeds,
-            &entries,
-            &self.shared,
-            workers,
-            self.config.max_solutions_per_segment,
-            &self.metrics.pipeline_slice(),
-        );
-        if let Some(timer) = wall_timer {
-            self.metrics.pipeline_wall.add(timer.elapsed_nanos());
-        }
-        self.stats.absorb(&outcome.stats);
-        // Resolve lost obligations out of the worker arena *now*: a GC epoch
-        // at the end of this batch clears the worker arena wholesale.
-        for (qi, psi) in outcome.lost {
-            let phi = self.shared.resolve(psi);
-            self.queries[qi].lost.insert(phi);
-            self.queries[qi].panics += 1;
-            self.worker_panics += 1;
-        }
-        for ((query, out), entry) in self.queries.iter_mut().zip(outcome.outs).zip(&entries) {
-            if *entry >= segments.len() {
-                continue; // The query saw no segment of this batch.
-            }
-            query.pending = out
-                .into_iter()
-                .map(|psi| {
-                    let id = self.arena.intern(&self.shared.resolve(psi));
-                    ArenaOps::normalize(&self.arena, id)
-                })
-                .collect();
-        }
-    }
-
     /// One GC epoch: mark-and-renumber the query-spanning arena over the live
-    /// pending sets and reset the worker arena (its caches re-warm from the
-    /// live formulas on the next batch).
+    /// pending sets.
     fn collect_garbage(&mut self) {
         // Shift-normal pendings root the GC at canonical residuals only:
         // translates of one obligation cost one root, and the materialised
@@ -949,7 +849,6 @@ impl StreamMonitor {
                 })
                 .collect();
         }
-        self.shared.clear();
         self.since_gc = 0;
         self.gc_runs += 1;
         if self.metrics.flight.is_enabled() {
@@ -1156,10 +1055,6 @@ impl StreamMonitor {
             config,
             segmenter,
             arena,
-            // Restores always target a fresh worker arena: the pipelined
-            // path re-interns pendings structurally per batch, and the old
-            // arena's caches were warmth, not state.
-            shared: ShardedInterner::new(),
             queries,
             queue: VecDeque::new(),
             segments_processed: as_usize(counters.segments_processed, "segment count")?,
@@ -1262,7 +1157,7 @@ mod tests {
     fn late_query_skips_queued_pre_registration_segments() {
         // With a deep flush buffer, segments closed *before* the late
         // registration are still queued when the query arrives; they must
-        // not be fed to it, on either execution path.
+        // not be fed to it, whatever the flush depth.
         let run = |config: StreamConfig| {
             let mut monitor = StreamMonitor::new(1, 0, config);
             let q_early = monitor.add_query(&parse("G[0,inf) (a -> F[0,6) b)").unwrap());
@@ -1281,10 +1176,10 @@ mod tests {
                 report.verdicts[q_late.index()].clone(),
             )
         };
-        let sequential = run(StreamConfig::new(3).flush_depth(64));
-        let pipelined = run(StreamConfig::new(3).pipelined(Some(3)).flush_depth(64));
-        assert_eq!(sequential, pipelined);
-        assert!(sequential.1.definitely_satisfied(), "{sequential:?}");
+        let per_segment = run(StreamConfig::new(3));
+        let buffered = run(StreamConfig::new(3).flush_depth(64));
+        assert_eq!(per_segment, buffered);
+        assert!(buffered.1.definitely_satisfied(), "{buffered:?}");
     }
 
     #[test]
@@ -1333,7 +1228,7 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_matches_sequential_midstream() {
+    fn flush_batches_match_per_segment_midstream() {
         let events: Vec<(usize, u64, rvmtl_mtl::State)> = (0..30u64)
             .map(|k| {
                 let label = if k % 3 == 0 { "a" } else { "b" };
@@ -1350,8 +1245,8 @@ mod tests {
             let report = monitor.finish();
             report.verdicts[q.index()].clone()
         };
-        let sequential = run(StreamConfig::new(4));
-        let pipelined = run(StreamConfig::new(4).pipelined(Some(3)).flush_depth(4));
-        assert_eq!(sequential, pipelined);
+        let per_segment = run(StreamConfig::new(4));
+        let batched = run(StreamConfig::new(4).flush_depth(4));
+        assert_eq!(per_segment, batched);
     }
 }

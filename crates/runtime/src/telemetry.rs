@@ -3,7 +3,7 @@
 //!
 //! The split of responsibilities (see the crate documentation's
 //! "Observability" section): *timing* instruments — histograms of wall-clock
-//! spans, the pipeline busy/wall counters, the flight recorder's timestamps —
+//! spans and the flight recorder's timestamps —
 //! live here and exist only when [`crate::StreamConfig::with_telemetry`]
 //! enabled them; with telemetry off every handle is a no-op and each
 //! instrumented call site costs one never-taken branch. *Count-shape* metrics
@@ -11,20 +11,20 @@
 //! bridged from always-on monitor state at snapshot time by
 //! [`crate::StreamMonitor::telemetry`] and cost nothing extra at all.
 
-use rvmtl_obs::{Counter, FlightRecorder, Histogram, Registry};
+use rvmtl_obs::{FlightRecorder, Histogram, Registry};
 
 /// All registry-resident instruments of one [`crate::StreamMonitor`].
 pub(crate) struct RuntimeMetrics {
     /// The registry the instruments were minted from (snapshotted by
     /// [`crate::StreamMonitor::telemetry`]).
     pub(crate) registry: Registry,
-    /// The lifecycle flight recorder. Recorded into **only from the
-    /// monitor's own thread at deterministic points**, so the kind sequence
-    /// is identical across the sequential and pipelined execution paths.
+    /// The lifecycle flight recorder. Recorded into **only at deterministic
+    /// points**, so the kind sequence depends only on the stream and the
+    /// flush depth.
     pub(crate) flight: FlightRecorder,
-    /// Wall time of one segment through the sequential solver stage (ns).
+    /// Wall time of one segment through the solver (ns).
     pub(crate) segment_solve: Histogram,
-    /// Wall time of one drained batch through either execution path (ns).
+    /// Wall time of one drained batch of queued segments (ns).
     pub(crate) batch_solve: Histogram,
     /// Per-segment close→solved latency (ns): the time between "this
     /// segment can never change again" and "its verdict contribution is
@@ -34,22 +34,12 @@ pub(crate) struct RuntimeMetrics {
     /// close of the newest segment a query observed in a batch → that
     /// query's pending set updated. Indexed by [`crate::QueryId::index`].
     pub(crate) verdict_latency: Vec<Histogram>,
-    /// GC epoch pause (ns): arena compaction plus worker-arena reset.
+    /// GC epoch pause (ns): arena compaction.
     pub(crate) gc_pause: Histogram,
     /// Checkpoint serialize + write + fsync time (ns).
     pub(crate) checkpoint_write: Histogram,
-    /// Wall time of one `(query, segment, pending formula)` work item (ns),
-    /// recorded on both execution paths.
+    /// Wall time of one `(query, segment, pending formula)` work item (ns).
     pub(crate) work_item: Histogram,
-    /// Wall time of one same-segment *batch* of work items drained by a
-    /// pipeline worker and solved through a single solver instance (ns) —
-    /// the unit the data-oriented solver core is fed in.
-    pub(crate) segment_batch: Histogram,
-    /// Total nanoseconds pipeline workers spent solving items (summed across
-    /// workers; compare against `pipeline_wall × workers` for idle time).
-    pub(crate) pipeline_busy: Counter,
-    /// Total wall nanoseconds spent inside pipelined batch runs.
-    pub(crate) pipeline_wall: Counter,
 }
 
 impl RuntimeMetrics {
@@ -73,9 +63,6 @@ impl RuntimeMetrics {
             gc_pause: registry.histogram("rvmtl_gc_pause_nanos", ""),
             checkpoint_write: registry.histogram("rvmtl_checkpoint_write_nanos", ""),
             work_item: registry.histogram("rvmtl_work_item_nanos", ""),
-            segment_batch: registry.histogram("rvmtl_pipeline_segment_batch_nanos", ""),
-            pipeline_busy: registry.counter("rvmtl_pipeline_busy_nanos_total", ""),
-            pipeline_wall: registry.counter("rvmtl_pipeline_wall_nanos_total", ""),
             registry,
             flight,
         }
@@ -95,27 +82,5 @@ impl RuntimeMetrics {
             self.registry
                 .histogram("rvmtl_verdict_latency_nanos", &format!("query=\"{index}\"")),
         );
-    }
-}
-
-/// The pipeline executor's slice of the panel (handed into
-/// [`crate::pipeline::run_pipeline`]; all no-ops when telemetry is off).
-pub(crate) struct PipelineTelemetry {
-    /// Per-work-item wall time (ns).
-    pub(crate) work_item: Histogram,
-    /// Per same-segment batch wall time (ns).
-    pub(crate) segment_batch: Histogram,
-    /// Summed worker solve nanoseconds.
-    pub(crate) busy: Counter,
-}
-
-impl RuntimeMetrics {
-    /// The executor's slice of the panel.
-    pub(crate) fn pipeline_slice(&self) -> PipelineTelemetry {
-        PipelineTelemetry {
-            work_item: self.work_item.clone(),
-            segment_batch: self.segment_batch.clone(),
-            busy: self.pipeline_busy.clone(),
-        }
     }
 }

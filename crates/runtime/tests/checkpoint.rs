@@ -5,9 +5,8 @@
 //!
 //! * a run restarted from a checkpoint at *every* processing and GC
 //!   boundary is verdict-identical (and pending/integrity/health-identical)
-//!   to the uninterrupted run, across the sequential, pipelined and
-//!   gc-every-segment paths × Strict/Dedup/BestEffort — including restores
-//!   into a fresh sharded worker arena on the pipelined path;
+//!   to the uninterrupted run, across per-segment processing, multi-segment
+//!   flush batches and GC-every-segment × Strict/Dedup/BestEffort;
 //! * a snapshot truncated or bit-flipped at any byte never panics the
 //!   restore — it always fails with a [`CheckpointError`];
 //! * on disk, a corrupt newest epoch falls back to the retained previous
@@ -22,7 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 /// A two-process stream with interleaved request/acknowledge activity —
-/// enough segments to exercise the pipeline, GC epochs, and checkpoints.
+/// enough segments to exercise flush batches, GC epochs, and checkpoints.
 fn alternating_events(n: u64) -> Vec<StreamEvent> {
     (0..n)
         .map(|k| StreamEvent {
@@ -40,14 +39,11 @@ fn queries() -> Vec<Formula> {
     ]
 }
 
-/// The three execution paths every differential must hold on.
+/// The three processing configurations every differential must hold on.
 fn configs() -> Vec<(&'static str, StreamConfig)> {
     vec![
-        ("sequential", StreamConfig::new(4)),
-        (
-            "pipelined",
-            StreamConfig::new(4).pipelined(Some(3)).flush_depth(4),
-        ),
+        ("per-segment", StreamConfig::new(4)),
+        ("batched", StreamConfig::new(4).flush_depth(4)),
         ("gc-every-segment", StreamConfig::new(4).gc_interval(1)),
     ]
 }
@@ -98,8 +94,7 @@ fn run_uninterrupted(events: &[StreamEvent], config: StreamConfig) -> StreamRepo
 /// Runs `events` through a monitor that is serialized and restored from its
 /// own checkpoint bytes at every processing / GC boundary (and once more at
 /// the very start and right before `finish`). Each restore rebuilds a fresh
-/// query-spanning arena via the remap table and a fresh sharded worker
-/// arena.
+/// query-spanning arena via the remap table.
 fn run_with_restarts(events: &[StreamEvent], config: StreamConfig) -> (StreamReport, usize) {
     let mut monitor = StreamMonitor::new(2, 1, config.clone());
     for phi in &queries() {

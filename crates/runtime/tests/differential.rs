@@ -8,8 +8,8 @@
 //! duration-`D` computation into `g` segments at `j·D/g`, so whenever
 //! `g | D`, a stream with segment length `D/g` is boundary-identical. The
 //! suite runs the synthetic testgen corpus and all three cross-chain
-//! protocol drivers through the sequential, the pipelined, and the
-//! GC-every-segment streaming paths.
+//! protocol drivers through per-segment processing, multi-segment flush
+//! batches, and the GC-every-segment configuration.
 
 use rvmtl_chain::{
     specs, Auction, AuctionScenario, StepChoice, ThreePartyScenario, ThreePartySwap,
@@ -149,15 +149,15 @@ fn assert_stream_equals_batch(comp: &DistributedComputation, formulas: &[Formula
         let streamed = stream_run(comp, formulas, StreamConfig::new(length), order);
         assert_eq!(streamed, batch, "{label}: g = {g}, {order:?}");
     }
-    // Pipelined path (forced workers — the container may have one core) and
-    // GC-every-segment path must agree too.
-    let pipelined = stream_run(
+    // Multi-segment flush batches (the whole stream queued, then drained in
+    // order) and the GC-every-segment configuration must agree too.
+    let batched = stream_run(
         comp,
         formulas,
-        StreamConfig::new(length).pipelined(Some(3)).flush_depth(g),
+        StreamConfig::new(length).flush_depth(g),
         Order::Time,
     );
-    assert_eq!(pipelined, batch, "{label}: pipelined, g = {g}");
+    assert_eq!(batched, batch, "{label}: flush_depth = g = {g}");
     let gc_heavy = stream_run(
         comp,
         formulas,
@@ -280,7 +280,8 @@ fn auction_protocol_streaming_equals_batch() {
 
 /// Delayed-window formulas — the regime where shift-normal pendings carry
 /// nonzero shifts and the engine's zone canonicalisation fires — through
-/// every streaming path (sequential, pipelined, GC-every-segment) and
+/// every streaming configuration (per-segment, flush batches,
+/// GC-every-segment) and
 /// delivery order. The GC path in particular pins that compaction keeps the
 /// canonical residuals of shifted pendings alive and remaps their
 /// decompositions soundly mid-stream.

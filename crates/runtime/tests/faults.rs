@@ -9,8 +9,8 @@
 //!   to the clean stream, with the duplicates counted;
 //! * under [`FaultPolicy::BestEffort`], verdicts equal a clean run of the
 //!   surviving sub-stream, with drops and late arrivals counted;
-//! * a panicking obligation degrades exactly its own query, on the
-//!   sequential and the pipelined path alike;
+//! * a panicking obligation degrades exactly its own query, whether
+//!   segments are processed one at a time or in flush batches;
 //! * under [`FaultPolicy::Strict`] (the default), a faulted schedule either
 //!   errors or produces verdicts identical to the accepted sub-schedule —
 //!   rejected calls leave the monitor unchanged.
@@ -25,7 +25,7 @@ use rvmtl_runtime::{
 };
 
 /// A two-process stream with interleaved request/acknowledge activity —
-/// enough segments and pending rewrites to exercise the pipeline and GC.
+/// enough segments and pending rewrites to exercise flush batches and GC.
 fn alternating_events(n: u64) -> Vec<StreamEvent> {
     (0..n)
         .map(|k| StreamEvent {
@@ -43,14 +43,11 @@ fn queries() -> Vec<Formula> {
     ]
 }
 
-/// The three execution paths every differential must hold on.
+/// The three processing configurations every differential must hold on.
 fn configs() -> Vec<(&'static str, StreamConfig)> {
     vec![
-        ("sequential", StreamConfig::new(4)),
-        (
-            "pipelined",
-            StreamConfig::new(4).pipelined(Some(3)).flush_depth(4),
-        ),
+        ("per-segment", StreamConfig::new(4)),
+        ("batched", StreamConfig::new(4).flush_depth(4)),
         ("gc-every-segment", StreamConfig::new(4).gc_interval(1)),
     ]
 }
@@ -193,11 +190,8 @@ fn panic_is_isolated_to_its_query() {
     let poison = Formula::atom("__panic__");
 
     for (name, config) in [
-        ("sequential", StreamConfig::new(4)),
-        (
-            "pipelined",
-            StreamConfig::new(4).pipelined(Some(3)).flush_depth(4),
-        ),
+        ("per-segment", StreamConfig::new(4)),
+        ("batched", StreamConfig::new(4).flush_depth(4)),
     ] {
         let reference = run_accepting(&clean, std::slice::from_ref(&normal), 2, 1, config.clone());
         let report = run_accepting(&clean, &[normal.clone(), poison.clone()], 2, 1, config);

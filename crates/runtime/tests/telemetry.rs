@@ -1,9 +1,9 @@
 //! Telemetry determinism suite (the observability contract of the crate
 //! docs): count-shape metrics and the flight recorder's kind sequence are
-//! pure functions of the stream — identical across repeated runs, across
-//! the sequential and pipelined execution paths, and (for checkpointed
-//! state) across serialize/restore — while timing values are asserted only
-//! monotone/nonzero, never for specific values.
+//! pure functions of the stream and its batching — identical across
+//! repeated runs, across the flush-depth and backpressure drain paths, and
+//! (for checkpointed state) across serialize/restore — while timing values
+//! are asserted only monotone/nonzero, never for specific values.
 
 use rvmtl_runtime::{
     parse_exposition, FlightKind, FlightRecorder, StreamConfig, StreamMonitor, StreamReport,
@@ -38,7 +38,8 @@ fn run(config: StreamConfig) -> (StreamReport, Vec<FlightKind>) {
 }
 
 /// The path-invariant counter subset: every bridged count metric that is a
-/// pure function of the *stream* (not of which arena did the solving).
+/// pure function of the *stream* and its drain points (not of which ingestion
+/// rule triggered a drain).
 fn invariant_counters(snap: &TelemetrySnapshot) -> Vec<(String, u64)> {
     const INVARIANT: &[&str] = &[
         "rvmtl_events_observed_total",
@@ -63,26 +64,26 @@ fn invariant_counters(snap: &TelemetrySnapshot) -> Vec<(String, u64)> {
 
 #[test]
 fn count_metrics_and_flight_sequence_match_across_paths() {
-    // Same flush depth on both paths: batching shape is configuration, and
-    // with it held fixed the kind sequence must not depend on which
-    // execution path solved the batches.
-    let sequential = run(StreamConfig::new(5)
+    // Batches of four segments, drained once by the flush depth and once by
+    // the backpressure bound (flush depth out of reach): batching shape is
+    // configuration, and with the drain points held fixed the kind sequence
+    // must not depend on which ingestion rule triggered the drains.
+    let flushed = run(StreamConfig::new(5)
         .gc_interval(3)
         .flush_depth(4)
         .with_telemetry());
-    let pipelined = run(StreamConfig::new(5)
+    let forced = run(StreamConfig::new(5)
         .gc_interval(3)
-        .pipelined(Some(3))
-        .flush_depth(4)
+        .flush_depth(1_000)
+        .max_queued_segments(4)
         .with_telemetry());
-    // Flight events are recorded only from the monitor's thread at
-    // deterministic points, so the kind sequence is identical even though
-    // the pipelined path fans the work items out to workers.
-    assert_eq!(sequential.1, pipelined.1);
-    assert!(!sequential.1.is_empty());
+    assert!(forced.0.health.backpressure_stalls > 0);
+    assert_eq!(flushed.0.health.backpressure_stalls, 0);
+    assert_eq!(flushed.1, forced.1);
+    assert!(!flushed.1.is_empty());
     assert_eq!(
-        invariant_counters(&sequential.0.telemetry),
-        invariant_counters(&pipelined.0.telemetry)
+        invariant_counters(&flushed.0.telemetry),
+        invariant_counters(&forced.0.telemetry)
     );
     // Per-query pending-obligation gauges are stream state, path-invariant.
     let pending = |snap: &TelemetrySnapshot| -> Vec<(String, i64)> {
@@ -92,18 +93,15 @@ fn count_metrics_and_flight_sequence_match_across_paths() {
             .map(|g| (g.labels.clone(), g.value))
             .collect()
     };
-    assert_eq!(
-        pending(&sequential.0.telemetry),
-        pending(&pipelined.0.telemetry)
-    );
-    assert_eq!(sequential.0.verdicts, pipelined.0.verdicts);
+    assert_eq!(pending(&flushed.0.telemetry), pending(&forced.0.telemetry));
+    assert_eq!(flushed.0.verdicts, forced.0.verdicts);
 }
 
 #[test]
 fn cache_and_solver_counters_repeat_exactly_on_the_same_path() {
-    // Within one execution path *every* count-shape metric is deterministic,
+    // Under one configuration *every* count-shape metric is deterministic,
     // including the progression-cache hit/miss tallies and solver counters
-    // the cross-path test must exclude.
+    // the cross-path test leaves out.
     let strip_timing = |snap: &TelemetrySnapshot| -> Vec<(String, u64)> {
         snap.counters
             .iter()

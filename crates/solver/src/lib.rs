@@ -87,16 +87,16 @@
 //!    nothing, keeping the memo free of partial sets. Per-cut derived data
 //!    (`enabled()`, the interned frontier state, the earliest enabled window
 //!    start) is cached by cut rank and shared by all formulas and time
-//!    assignments passing through the cut; the whole bundle is extractable
-//!    as [`SegmentCaches`] so several solvers of one segment (the streaming
-//!    runtime's pipeline work items) continue from each other's tables.
+//!    assignments passing through the cut; the whole bundle lives as long as
+//!    the [`SegmentSolver`], so every pending formula of the segment (of
+//!    every query, in the streaming runtime) shares it.
 //!
 //! # Shift-normal zones
 //!
 //! The interval abstraction of point 2 collapses a time range only when its
 //! residual is fully time-invariant. The arena's *shift-normal form*
 //! ([`rvmtl_mtl::Interner::shift_slack`] /
-//! [`rvmtl_mtl::ArenaOps::normalize`]) extends the collapse to residuals
+//! [`rvmtl_mtl::Interner::normalize`]) extends the collapse to residuals
 //! that still carry live bounded windows, as long as those windows have not
 //! *opened*: two pending formulas that are exact time-translates of each
 //! other (same canonical residual, shifts ≥ 1) do identical future work at
@@ -130,7 +130,7 @@
 //!   [`SolverStats::shift_normalized_nodes`].
 //! * **Shift-relative progression caches.** The arena's
 //!   `one_cache`/`gap_cache` are keyed `(canonical residual, elapsed −
-//!   shift)` ([`rvmtl_mtl::ArenaOps::progress_one_cached`]), so the
+//!   shift)` ([`rvmtl_mtl::Interner::progress_one_cached`]), so the
 //!   progression *results* feeding the search are likewise computed once per
 //!   zone, not once per absolute anchor — and survive GC compaction exactly
 //!   when their canonical endpoints do.
@@ -152,7 +152,7 @@
 //! * **Fused metadata records.** Everything the engine asks about a pending
 //!   formula besides its children — kind tag, temporal horizon, shift slack,
 //!   canonical residual — lives in one dense [`rvmtl_mtl::NodeMeta`] table
-//!   entry ([`rvmtl_mtl::ArenaOps::node_meta`]). The pre-memo rewrite and
+//!   entry ([`rvmtl_mtl::Interner::node_meta`]). The pre-memo rewrite and
 //!   the range-collapse checks issue a single indexed read where the PR 4
 //!   engine walked three parallel side tables, and the progression caches
 //!   are keyed by packed `u128` scalars ([`rvmtl_mtl::OneKey`] /
@@ -160,7 +160,7 @@
 //!   integer instead of field-by-field tuples.
 //! * **The arena shift watermark.** An arena that has never interned a
 //!   nonzero-finite-slack node reports
-//!   [`rvmtl_mtl::ArenaOps::ever_shifted`]` == false`, and every consumer
+//!   [`rvmtl_mtl::Interner::ever_shifted`]` == false`, and every consumer
 //!   short-circuits: `normalize` is the identity, cache keys stay in the
 //!   direct PR 2 form, and the engine's pre-memo zone rewrite reduces
 //!   to the time-invariant advance — provably the only rewrite a shift-free
@@ -185,14 +185,14 @@
 //!   cut rank therefore live contiguously and are activated by index, with
 //!   no per-child allocation: cuts are rewritten in place per depth
 //!   ([`rvmtl_distrib::Cut::extended_into`]), and frames/cut/scratch buffers
-//!   are pooled in [`SegmentCaches`] across every progression of a segment.
+//!   are pooled in the solver's per-segment caches across every progression
+//!   of a segment.
 //! * **Batched cache probes.** The per-tick progression-cache lookups of a
 //!   window are issued as *one* contiguous walk per `(node, event)` batch
-//!   ([`rvmtl_mtl::ArenaOps::progress_one_over_batched`] /
-//!   [`rvmtl_mtl::ArenaOps::progress_gap_over_batched`]): keys for the whole
-//!   window are packed first, probed together (on the sharded arena a run of
-//!   same-shard keys takes the shard lock once instead of once per tick),
-//!   and the misses are resolved together afterwards. Within one batch all
+//!   ([`rvmtl_mtl::Interner::progress_one_over_batched`] /
+//!   [`rvmtl_mtl::Interner::progress_gap_over_batched`]): keys for the whole
+//!   window are packed first, probed together in one pass over the cache
+//!   table, and the misses are resolved together afterwards. Within one batch all
 //!   packed keys are distinct — the shift-relative key coordinate strictly
 //!   increases across the run and the horizon clamp is reached only at the
 //!   final tick — so probe-all-then-resolve observes exactly the hit/miss
@@ -215,7 +215,7 @@
 //!   recursive engine ([`ExploreEngine::Reference`]) runs the identical
 //!   search through the same batched splitters; the `engine_differential`
 //!   suite pins verdict sets *and* full [`SolverStats`] equality between
-//!   the two across ε sweeps, property suites and both arenas, and the
+//!   the two across ε sweeps and property suites, and the
 //!   `--abtest` mode of `bench_snapshot` measures the ns/state gap between
 //!   them under interleaved rounds.
 //!
@@ -243,6 +243,5 @@ mod progression;
 pub use instance::{CheckResult, Model, SolverInstance};
 pub use progression::{
     distinct_progressions, exists_verdict, finalize, possible_verdicts, ExploreEngine,
-    InternedProgression, ProgressionQuery, ProgressionResult, SegmentCaches, SegmentSolver,
-    SolverStats,
+    InternedProgression, ProgressionQuery, ProgressionResult, SegmentSolver, SolverStats,
 };

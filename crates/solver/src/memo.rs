@@ -93,6 +93,7 @@ fn hash_of<K: Hash>(key: &K) -> u64 {
 
 impl<K: Hash + Eq, V> MemoTable<K, V> {
     /// Number of entries.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -171,11 +172,6 @@ impl<K: Hash + Eq, V> MemoTable<K, V> {
             return;
         }
         self.insert(key, value);
-    }
-
-    /// Consumes the table, yielding every entry (for cache absorption).
-    pub(crate) fn into_entries(self) -> impl Iterator<Item = (K, V)> {
-        self.slots.into_iter().flatten()
     }
 
     fn grow_if_needed(&mut self) {
@@ -266,18 +262,5 @@ mod tests {
         assert_eq!(table.get(&interloper), Some(&7));
         assert_eq!(table.get(&1), Some(&8));
         assert_eq!(table.len(), 3);
-    }
-
-    #[test]
-    fn into_entries_yields_everything() {
-        let mut table: MemoTable<u64, usize> = MemoTable::default();
-        for i in 0..50u64 {
-            table.insert(i, i as usize);
-        }
-        let mut entries: Vec<_> = table.into_entries().collect();
-        entries.sort_unstable();
-        assert_eq!(entries.len(), 50);
-        assert_eq!(entries[0], (0, 0));
-        assert_eq!(entries[49], (49, 49));
     }
 }

@@ -4,22 +4,22 @@
 //! (including the batch counters, which both engines account at the same
 //! program points) — on every input. The suites sweep the whole ε axis
 //! (1..=8), the delayed-window regime where the shift-normal zone machinery
-//! fires, and the shift-free class, over both the sequential [`Interner`]
-//! and the concurrent [`ShardedInterner`] arenas.
+//! fires, and the shift-free class, over both a fresh [`Interner`] per
+//! engine and one warm arena shared by both engines.
 
 use rvmtl_distrib::{ComputationBuilder, DistributedComputation};
 use rvmtl_mtl::testgen::{gen_formula, GenConfig, PROPS};
-use rvmtl_mtl::{parse, state, ArenaOps, Formula, Interner, ShardedInterner};
+use rvmtl_mtl::{parse, state, Formula, Interner};
 use rvmtl_prng::StdRng;
 use rvmtl_solver::{ExploreEngine, SegmentSolver, SolverStats};
 use std::collections::BTreeSet;
 
 /// Runs `phi` through a fresh solver over `arena` under the given engine.
 /// Returns the full stats, the rewritten-formula ids (order-preserving, so
-/// same-arena-type comparisons also pin emission order), and the verdict set
-/// (comparable across arena representations).
+/// same-arena comparisons also pin emission order), and the verdict set
+/// (comparable across arenas).
 fn solve(
-    arena: &mut impl ArenaOps,
+    arena: &mut Interner,
     comp: &DistributedComputation,
     phi: &Formula,
     engine: ExploreEngine,
@@ -157,8 +157,8 @@ fn engines_agree_on_delayed_window_suite() {
             let shift = rng.gen_range(1u64..8);
             let mut scratch = Interner::new();
             let id = scratch.intern(&base);
-            let shifted = ArenaOps::translate_up(&mut scratch, id, shift);
-            let phi = ArenaOps::resolve(&scratch, shifted);
+            let shifted = scratch.translate_up(id, shift);
+            let phi = scratch.resolve(shifted);
             let stats = assert_engines_agree(
                 &comp,
                 &phi,
@@ -176,9 +176,10 @@ fn engines_agree_on_delayed_window_suite() {
 
 /// PRNG-generated shift-free specifications (window starts all at zero; the
 /// arena watermark must stay down) on the Fig. 3-shaped fixture, over *both*
-/// arena representations: plain vs plain compares full stats and id-level
-/// rewrites per engine; sharded vs plain additionally pins that the engine
-/// choice commutes with the arena representation (same stats, same
+/// arena states: a fresh arena per engine compares full stats and id-level
+/// rewrites; one arena warmed by the work-stack run and then reused by the
+/// reference run additionally pins that the engine choice commutes with the
+/// arena's progression-cache warmth (same stats, same rewrites, same
 /// verdicts).
 #[test]
 fn engines_agree_on_shift_free_suite_both_arenas() {
@@ -204,23 +205,20 @@ fn engines_agree_on_shift_free_suite_both_arenas() {
             let plain_stats =
                 assert_engines_agree(&comp, phi, None, &format!("ε = {epsilon}, formula {phi}"));
 
-            let sharded = ShardedInterner::new();
-            let mut handle = &sharded;
-            let sharded_stack = solve(&mut handle, &comp, phi, ExploreEngine::WorkStack, None);
-            let sharded_ref = solve(&mut handle, &comp, phi, ExploreEngine::Reference, None);
+            let mut shared = Interner::new();
+            let cold_stack = solve(&mut shared, &comp, phi, ExploreEngine::WorkStack, None);
+            let warm_ref = solve(&mut shared, &comp, phi, ExploreEngine::Reference, None);
             assert_eq!(
-                plain_stats, sharded_stack.0,
-                "ε = {epsilon}, formula {phi}: plain vs sharded work-stack stats"
-            );
-            // The second run over the same sharded arena is warm, so only
-            // shape-level (cache-independent) counters are comparable.
-            assert_eq!(
-                sharded_stack.0.explored_states, sharded_ref.0.explored_states,
-                "ε = {epsilon}, formula {phi}: warm sharded reference shape"
+                plain_stats, warm_ref.0,
+                "ε = {epsilon}, formula {phi}: warm reference vs fresh work-stack stats"
             );
             assert_eq!(
-                sharded_stack.2, sharded_ref.2,
-                "ε = {epsilon}, formula {phi}: sharded verdicts across engines"
+                cold_stack.1, warm_ref.1,
+                "ε = {epsilon}, formula {phi}: rewrites across engines on one arena"
+            );
+            assert_eq!(
+                cold_stack.2, warm_ref.2,
+                "ε = {epsilon}, formula {phi}: verdicts across engines on one arena"
             );
         }
     }

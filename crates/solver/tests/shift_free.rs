@@ -4,12 +4,11 @@
 //! unrelated delayed-window node) must produce bit-identical [`SolverStats`]
 //! and verdict sets. This pins the tentpole claim of the NodeMeta/watermark
 //! optimisation — it removes the shift-normal tax, it does not change the
-//! search — for both the sequential [`Interner`] and the concurrent
-//! [`ShardedInterner`], on PRNG-generated shift-free specifications.
+//! search — on PRNG-generated shift-free specifications.
 
 use rvmtl_distrib::{ComputationBuilder, DistributedComputation};
 use rvmtl_mtl::testgen::{gen_formula, GenConfig};
-use rvmtl_mtl::{parse, state, ArenaOps, Formula, Interner, ShardedInterner};
+use rvmtl_mtl::{parse, state, Formula, Interner};
 use rvmtl_prng::StdRng;
 use rvmtl_solver::{SegmentSolver, SolverStats};
 use std::collections::BTreeSet;
@@ -44,8 +43,8 @@ fn shift_free_formulas(count: usize, seed: u64) -> Vec<Formula> {
 
 /// Runs `phi` through a `SegmentSolver` over `arena`, returning the stats of
 /// the query and the verdict set of its rewritten formulas.
-fn solve<A: ArenaOps>(
-    arena: &mut A,
+fn solve(
+    arena: &mut Interner,
     comp: &DistributedComputation,
     phi: &Formula,
 ) -> (SolverStats, BTreeSet<bool>) {
@@ -56,19 +55,15 @@ fn solve<A: ArenaOps>(
     let verdicts = result
         .formulas
         .iter()
-        .map(|&id| solver_eval(arena, id))
+        .map(|&id| arena.eval_empty(id))
         .collect();
     (result.stats, verdicts)
-}
-
-fn solver_eval<A: ArenaOps>(arena: &A, id: rvmtl_mtl::FormulaId) -> bool {
-    arena.eval_empty(id)
 }
 
 /// Trips the watermark of an arena with a delayed-window node that shares no
 /// structure with the monitored formulas (fresh proposition), forcing every
 /// subsequent query through the per-node zone checks.
-fn trip<A: ArenaOps>(arena: &mut A) {
+fn trip(arena: &mut Interner) {
     let tripwire = parse("F[6,12) zz_tripwire").unwrap();
     let _ = arena.intern(&tripwire);
     assert!(arena.ever_shifted(), "tripwire must raise the watermark");
@@ -103,36 +98,6 @@ fn shift_free_fast_path_is_observationally_invisible_sequential() {
                 "phi = {phi}, eps = {epsilon}: verdicts must agree"
             );
         }
-    }
-}
-
-/// Sharded arena: same property through `&ShardedInterner` handles (the
-/// parallel monitoring path), compared against the sequential fast path.
-#[test]
-fn shift_free_fast_path_is_observationally_invisible_sharded() {
-    let formulas = shift_free_formulas(24, 0x54DD);
-    let comp = fixture(2);
-    for phi in &formulas {
-        let mut plain = Interner::new();
-        let fast = solve(&mut plain, &comp, phi);
-
-        let arena = ShardedInterner::new();
-        let mut handle = &arena;
-        let sharded_fast = solve(&mut handle, &comp, phi);
-        assert!(!arena.ever_shifted(), "phi = {phi}");
-
-        let forced = ShardedInterner::new();
-        let mut forced_handle = &forced;
-        trip(&mut forced_handle);
-        let sharded_slow = solve(&mut forced_handle, &comp, phi);
-
-        assert_eq!(fast.0, sharded_fast.0, "phi = {phi}: sequential vs sharded");
-        assert_eq!(
-            sharded_fast.0, sharded_slow.0,
-            "phi = {phi}: sharded fast vs forced zone path"
-        );
-        assert_eq!(fast.1, sharded_fast.1, "phi = {phi}");
-        assert_eq!(sharded_fast.1, sharded_slow.1, "phi = {phi}");
     }
 }
 

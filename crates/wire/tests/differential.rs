@@ -1,8 +1,8 @@
 //! Differential suite: wire-replayed ingestion must be indistinguishable
 //! from direct in-memory ingestion. For every fault policy (clean `Strict`,
-//! duplicate-heavy `Dedup`, lossy `BestEffort`) and both execution paths
-//! (sequential and pipelined), the same delivered schedule is fed once
-//! through direct [`StreamMonitor::observe`] calls and once through a
+//! duplicate-heavy `Dedup`, lossy `BestEffort`), the same delivered
+//! schedule is fed once through direct [`StreamMonitor::observe`] calls and
+//! once through a
 //! captured byte stream drained by [`WireSource`] — and the two reports
 //! must agree on verdicts, pending obligations, integrity tags, segment
 //! count, solver statistics and health counters. This is the property that
@@ -67,11 +67,8 @@ fn workload() -> (Vec<StreamEvent>, rvmtl_mtl::Formula, u64) {
     (StreamEvent::schedule_of(&comp), phi, segment_length)
 }
 
-fn monitor(case: &Case, segment_length: u64, pipelined: bool) -> StreamMonitor {
-    let mut config = StreamConfig::new(segment_length).fault_policy(case.policy);
-    if pipelined {
-        config = config.pipelined(Some(2));
-    }
+fn monitor(case: &Case, segment_length: u64) -> StreamMonitor {
+    let config = StreamConfig::new(segment_length).fault_policy(case.policy);
     let (_, phi, _) = workload();
     let mut m = StreamMonitor::new(PROCESSES, EPSILON_MS, config);
     m.add_query(&phi);
@@ -80,13 +77,8 @@ fn monitor(case: &Case, segment_length: u64, pipelined: bool) -> StreamMonitor {
 
 /// Direct path: in-memory observe calls, rejections counted by the monitor
 /// itself (the established feed idiom for faulted schedules).
-fn run_direct(
-    case: &Case,
-    events: &[StreamEvent],
-    segment_length: u64,
-    pipelined: bool,
-) -> StreamReport {
-    let mut m = monitor(case, segment_length, pipelined);
+fn run_direct(case: &Case, events: &[StreamEvent], segment_length: u64) -> StreamReport {
+    let mut m = monitor(case, segment_length);
     for e in events {
         let _ = m.observe(e.process, e.time, e.state.clone());
     }
@@ -99,7 +91,6 @@ fn run_wire(
     case: &Case,
     events: &[StreamEvent],
     segment_length: u64,
-    pipelined: bool,
 ) -> (StreamReport, rvmtl_wire::WireStats) {
     let hello = Hello {
         epsilon: EPSILON_MS,
@@ -107,58 +98,22 @@ fn run_wire(
         fault_policy: case.policy,
     };
     let bytes = capture_events(Vec::new(), &hello, events).expect("capture");
-    let mut m = monitor(case, segment_length, pipelined);
+    let mut m = monitor(case, segment_length);
     let mut source = WireSource::new(&bytes[..]).expect("header");
     source.run(&mut m).expect("replay");
     (m.finish(), *source.stats())
 }
 
-fn assert_reports_identical(
-    name: &str,
-    path: &str,
-    pipelined: bool,
-    direct: &StreamReport,
-    wire: &StreamReport,
-) {
-    assert_eq!(direct.verdicts, wire.verdicts, "{name}/{path}: verdicts");
-    assert_eq!(direct.pending, wire.pending, "{name}/{path}: pending");
-    assert_eq!(direct.integrity, wire.integrity, "{name}/{path}: integrity");
-    assert_eq!(direct.segments, wire.segments, "{name}/{path}: segments");
-    assert_eq!(direct.health, wire.health, "{name}/{path}: health");
-    assert_eq!(direct.gc_runs, wire.gc_runs, "{name}/{path}: GC epochs");
-    if pipelined {
-        // Worker interleaving makes the explored/memo *split* racy on the
-        // pipelined path (a second worker can re-explore a node the memo
-        // would have answered — two pipelined runs of the *same* in-memory
-        // feed already differ by ±1 here), but the total work and the
-        // sequence-level counters are deterministic. The wire path must not
-        // disturb either.
-        assert_eq!(
-            direct.stats.explored_states + direct.stats.memo_hits,
-            wire.stats.explored_states + wire.stats.memo_hits,
-            "{name}/{path}: explored + memo-answered work"
-        );
-        assert_eq!(
-            direct.stats.completed_sequences, wire.stats.completed_sequences,
-            "{name}/{path}: completed sequences"
-        );
-        assert_eq!(
-            direct.stats.time_splits, wire.stats.time_splits,
-            "{name}/{path}: time splits"
-        );
-        assert_eq!(
-            direct.stats.merged_time_points, wire.stats.merged_time_points,
-            "{name}/{path}: merged time points"
-        );
-        assert_eq!(
-            direct.stats.shift_normalized_nodes, wire.stats.shift_normalized_nodes,
-            "{name}/{path}: shift-normalised nodes"
-        );
-    } else {
-        // The sequential path is fully deterministic: the wire replay must
-        // reproduce every counter exactly.
-        assert_eq!(direct.stats, wire.stats, "{name}/{path}: solver stats");
-    }
+fn assert_reports_identical(name: &str, direct: &StreamReport, wire: &StreamReport) {
+    assert_eq!(direct.verdicts, wire.verdicts, "{name}: verdicts");
+    assert_eq!(direct.pending, wire.pending, "{name}: pending");
+    assert_eq!(direct.integrity, wire.integrity, "{name}: integrity");
+    assert_eq!(direct.segments, wire.segments, "{name}: segments");
+    assert_eq!(direct.health, wire.health, "{name}: health");
+    assert_eq!(direct.gc_runs, wire.gc_runs, "{name}: GC epochs");
+    // The segment loop is deterministic: the wire replay must reproduce
+    // every solver counter exactly.
+    assert_eq!(direct.stats, wire.stats, "{name}: solver stats");
 }
 
 #[test]
@@ -167,26 +122,23 @@ fn wire_replay_is_identical_to_direct_ingestion() {
     for case in cases() {
         let faulted = FaultInjector::new(case.seed, case.faults).inject(&clean);
         let events: Vec<StreamEvent> = faulted.events().cloned().collect();
-        for pipelined in [false, true] {
-            let path = if pipelined { "pipelined" } else { "sequential" };
-            let direct = run_direct(&case, &events, segment_length, pipelined);
-            let (wire, stats) = run_wire(&case, &events, segment_length, pipelined);
-            assert_reports_identical(case.name, path, pipelined, &direct, &wire);
-            assert_eq!(
-                stats.event_frames as usize,
-                events.len(),
-                "{}/{path}: every event framed",
-                case.name
-            );
-            assert_eq!(stats.decode_errors, 0, "{}/{path}", case.name);
-            assert_eq!(stats.hello_frames, 1, "{}/{path}", case.name);
-            assert_eq!(stats.end_frames, 1, "{}/{path}", case.name);
-        }
+        let direct = run_direct(&case, &events, segment_length);
+        let (wire, stats) = run_wire(&case, &events, segment_length);
+        assert_reports_identical(case.name, &direct, &wire);
+        assert_eq!(
+            stats.event_frames as usize,
+            events.len(),
+            "{}: every event framed",
+            case.name
+        );
+        assert_eq!(stats.decode_errors, 0, "{}", case.name);
+        assert_eq!(stats.hello_frames, 1, "{}", case.name);
+        assert_eq!(stats.end_frames, 1, "{}", case.name);
     }
 }
 
 /// The wire path must also round-trip the *rejection* behaviour: under
-/// `Strict` a duplicated schedule rejects at the monitor in both paths, and
+/// `Strict` a duplicated schedule rejects at the monitor on both transports, and
 /// the wire source's `rejected` counter matches the monitor's own health
 /// accounting.
 #[test]
@@ -200,9 +152,9 @@ fn rejection_counts_survive_the_wire() {
     };
     let faulted = FaultInjector::new(case.seed, case.faults).inject(&clean);
     let events: Vec<StreamEvent> = faulted.events().cloned().collect();
-    let direct = run_direct(&case, &events, segment_length, false);
-    let (wire, stats) = run_wire(&case, &events, segment_length, false);
-    assert_reports_identical(case.name, "sequential", false, &direct, &wire);
+    let direct = run_direct(&case, &events, segment_length);
+    let (wire, stats) = run_wire(&case, &events, segment_length);
+    assert_reports_identical(case.name, &direct, &wire);
     assert!(stats.rejected > 0, "a 0.5 duplicate rate must reject");
     assert_eq!(stats.rejected, wire.health.rejected);
 }

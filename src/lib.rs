@@ -15,7 +15,7 @@
 //! | [`distrib`] | `rvmtl-distrib` | events, happened-before, cuts, segmentation |
 //! | [`solver`] | `rvmtl-solver` | the SMT-style decision engine |
 //! | [`monitor`] | `rvmtl-monitor` | the distributed monitor (the paper's contribution) |
-//! | [`runtime`] | `rvmtl-runtime` | streaming runtime: live streams, pipelined segments, GC |
+//! | [`runtime`] | `rvmtl-runtime` | streaming runtime: live streams, segment loop, GC |
 //! | [`chain`] | `rvmtl-chain` | mock blockchains and the cross-chain protocols |
 //! | [`ta`] | `rvmtl-ta` | timed-automata models and synthetic traces |
 //! | [`obs`] | `rvmtl-obs` | telemetry: metrics registry, flight recorder, exposition |
@@ -73,8 +73,8 @@ pub mod monitor {
     pub use rvmtl_monitor::*;
 }
 
-/// The streaming monitoring runtime: incremental segmentation, pipelined
-/// segment stages, multi-query front end, arena GC (re-export of
+/// The streaming monitoring runtime: incremental segmentation, the
+/// in-order segment loop, multi-query front end, arena GC (re-export of
 /// `rvmtl-runtime`).
 pub mod runtime {
     pub use rvmtl_runtime::*;

@@ -78,12 +78,3 @@ fn gossip_eventually_spreads_secrets_given_enough_time() {
         report.verdicts
     );
 }
-
-#[test]
-fn parallel_and_sequential_monitoring_agree_on_synthetic_traces() {
-    let comp = generate(Model::Fischer, &small_config(2, 21));
-    let phi = specs::phi4(2, 60);
-    let sequential = Monitor::new(MonitorConfig::with_segments(6)).run(&comp, &phi);
-    let parallel = Monitor::new(MonitorConfig::with_segments(6).parallel(true)).run(&comp, &phi);
-    assert_eq!(sequential.verdicts, parallel.verdicts);
-}
