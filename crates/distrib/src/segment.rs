@@ -43,12 +43,20 @@ pub fn segment(
     mode: SegmentationMode,
 ) -> Vec<DistributedComputation> {
     assert!(segments > 0, "segment count must be at least 1");
-    let base = comp.base_time();
-    let length = comp.duration();
-    let boundaries: Vec<u64> = (0..=segments as u64)
-        .map(|j| base + (j * length) / segments as u64)
+    let boundaries: Vec<u64> = (0..=segments)
+        .map(|j| fence_post(comp, segments, j))
         .collect();
     segment_at_boundaries(comp, &boundaries, mode)
+}
+
+/// The `j`-th of the `segments + 1` evenly spaced fence posts over the
+/// computation's time span. The product `j · duration` is taken in u128: in
+/// u64 it overflows once timestamps reach 2⁶⁴ / `segments`.
+fn fence_post(comp: &DistributedComputation, segments: usize, j: usize) -> u64 {
+    let offset = (j as u128 * u128::from(comp.duration())) / segments as u128;
+    // `j ≤ segments`, so the offset is at most the duration and the sum is at
+    // most the computation's last local time.
+    comp.base_time() + offset as u64
 }
 
 /// Splits `comp` at an explicit, non-decreasing list of boundary points.
@@ -157,11 +165,9 @@ pub fn segments_for_frequency(duration: u64, per_time_unit: f64) -> usize {
 /// unresolved across segments.
 pub fn boundary_events(comp: &DistributedComputation, segments: usize) -> Vec<EventId> {
     assert!(segments > 0, "segment count must be at least 1");
-    let base = comp.base_time();
-    let length = comp.duration();
     let eps = comp.epsilon();
-    let boundaries: Vec<u64> = (1..segments as u64)
-        .map(|j| base + (j * length) / segments as u64)
+    let boundaries: Vec<u64> = (1..segments)
+        .map(|j| fence_post(comp, segments, j))
         .collect();
     (0..comp.event_count())
         .map(EventId)
@@ -285,6 +291,35 @@ mod tests {
             let t = comp.event(id).local_time;
             assert!(t + 2 >= boundary && t < boundary + 2);
         }
+    }
+
+    #[test]
+    fn huge_timestamps_keep_boundaries_monotone() {
+        // `j · duration` exceeds u64 here: 2 · 2⁶³ = 2⁶⁴.
+        let huge = 1u64 << 63;
+        let mut b = ComputationBuilder::new(1, 1);
+        b.event(0, 0, state!["early"]);
+        b.event(0, huge, state!["late"]);
+        let comp = b.build().unwrap();
+        let segs = segment(&comp, 3, SegmentationMode::Disjoint);
+        let bases: Vec<u64> = segs.iter().map(|s| s.base_time()).collect();
+        assert!(
+            bases.windows(2).all(|w| w[0] <= w[1]),
+            "bases must be monotone: {bases:?}"
+        );
+        assert_eq!(bases[0], 0);
+        assert_eq!(bases[1], huge / 3);
+        for t in [0, huge] {
+            let holders = segs
+                .iter()
+                .filter(|s| (0..s.event_count()).any(|i| s.event(EventId(i)).local_time == t))
+                .count();
+            assert_eq!(
+                holders, 1,
+                "the event at {t} must land in exactly one segment"
+            );
+        }
+        assert!(boundary_events(&comp, 3).is_empty());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Monitor configuration.
 
 use rvmtl_distrib::SegmentationMode;
-use rvmtl_solver::ExploreEngine;
 
 /// How a computation is chopped into segments before monitoring (Sec. V-C).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -39,11 +38,6 @@ pub struct MonitorConfig {
     /// pending formula per segment (`None` = unbounded). Mirrors the paper's
     /// bounded number of solver solutions per segment (Fig. 5e).
     pub max_solutions_per_segment: Option<usize>,
-    /// Which solver exploration engine runs the per-segment searches. Both
-    /// engines produce identical verdicts and statistics
-    /// ([`ExploreEngine::Reference`] exists as the differential baseline and
-    /// A/B comparison point); the default work-stack engine is the fast one.
-    pub engine: ExploreEngine,
 }
 
 impl Default for MonitorConfig {
@@ -52,7 +46,6 @@ impl Default for MonitorConfig {
             segmentation: Segmentation::None,
             mode: SegmentationMode::Disjoint,
             max_solutions_per_segment: None,
-            engine: ExploreEngine::default(),
         }
     }
 }
@@ -101,13 +94,6 @@ impl MonitorConfig {
             "MonitorConfig::max_solutions: the solution limit must be at least 1"
         );
         self.max_solutions_per_segment = Some(limit);
-        self
-    }
-
-    /// Selects the solver exploration engine (default:
-    /// [`ExploreEngine::WorkStack`]).
-    pub fn engine(mut self, engine: ExploreEngine) -> Self {
-        self.engine = engine;
         self
     }
 }

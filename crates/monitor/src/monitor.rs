@@ -5,7 +5,7 @@
 use crate::{Integrity, MonitorConfig, VerdictSet};
 use rvmtl_distrib::{segment, DistributedComputation};
 use rvmtl_mtl::{Formula, FormulaId, Interner, ShiftedId};
-use rvmtl_solver::{ExploreEngine, SegmentSolver, SolverStats};
+use rvmtl_solver::{SegmentSolver, SolverStats};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -81,7 +81,6 @@ pub struct OnlineMonitor {
     pending: BTreeSet<ShiftedId>,
     limit: Option<usize>,
     stats: SolverStats,
-    engine: ExploreEngine,
 }
 
 impl OnlineMonitor {
@@ -96,7 +95,6 @@ impl OnlineMonitor {
             pending: BTreeSet::from([root]),
             limit: None,
             stats: SolverStats::default(),
-            engine: ExploreEngine::default(),
         }
     }
 
@@ -116,14 +114,6 @@ impl OnlineMonitor {
             "OnlineMonitor::with_limit: the solution limit must be at least 1"
         );
         self.limit = limit;
-        self
-    }
-
-    /// Selects the solver exploration engine for every subsequent segment
-    /// (default: [`ExploreEngine::WorkStack`]). Both engines produce
-    /// identical verdicts and statistics.
-    pub fn with_engine(mut self, engine: ExploreEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -162,8 +152,7 @@ impl OnlineMonitor {
             .map(|&s| self.arena.materialize(s))
             .collect();
         let mut next: BTreeSet<FormulaId> = BTreeSet::new();
-        let mut solver =
-            SegmentSolver::new(seg, next_anchor, &mut self.arena).with_engine(self.engine);
+        let mut solver = SegmentSolver::new(seg, next_anchor, &mut self.arena);
         if let Some(l) = self.limit {
             solver = solver.with_limit(l);
         }
@@ -250,9 +239,8 @@ impl Monitor {
         let segments = segment(comp, g, self.config.mode);
         let final_anchor = comp.max_local_time() + comp.epsilon();
 
-        let mut online = OnlineMonitor::new(phi.clone())
-            .with_limit(self.config.max_solutions_per_segment)
-            .with_engine(self.config.engine);
+        let mut online =
+            OnlineMonitor::new(phi.clone()).with_limit(self.config.max_solutions_per_segment);
         let mut reports = Vec::with_capacity(segments.len());
         for (i, seg) in segments.iter().enumerate() {
             let next_anchor = segments

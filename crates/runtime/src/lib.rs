@@ -39,14 +39,9 @@
 //! ([`StreamMonitor::add_query`] after segments closed) is re-anchored at
 //! the current watermark boundary and skips every segment before it.
 //!
-//! Inside each segment the solver explores with the data-oriented work-stack
-//! engine ([`rvmtl_solver::ExploreEngine::WorkStack`], the default): an
-//! explicit frontier over flat batches with batched one/gap cache probes
-//! and staged memo slots. The reference recursion
-//! ([`rvmtl_solver::ExploreEngine::Reference`]) is retained behind the same
-//! trait for A/B equivalence runs (`bench_snapshot --abtest`); both engines
-//! execute the identical search, so the choice never shows in verdicts or
-//! search-shape counters.
+//! Inside each segment the solver explores with its data-oriented work-stack
+//! driver: an explicit frontier over flat batches with batched one/gap cache
+//! probes and staged memo slots.
 //!
 //! # 3. One arena across the stream
 //!

@@ -173,10 +173,9 @@
 //! # Data-oriented core
 //!
 //! The representation work above fixes *what* the hot loop touches (packed
-//! keys, fused metadata, cached derived data); the work-stack engine
-//! ([`ExploreEngine::WorkStack`], the default) additionally fixes *how* it
-//! touches it, replacing the recursive explorer with an explicit stack of
-//! pooled per-depth frames over struct-of-arrays sibling batches:
+//! keys, fused metadata, cached derived data); the explorer additionally
+//! fixes *how* it touches it: an explicit stack of pooled per-depth frames
+//! over struct-of-arrays sibling batches, with no recursion:
 //!
 //! * **Flat frontier batches.** When a node is progressed against one
 //!   enabled event, the admissible window's residual ranges are flattened
@@ -207,23 +206,20 @@
 //!   per node instead of once at activation and once at completion.
 //! * **Union-of-contributions survives batching** because batching changes
 //!   only the *schedule* of the same edges, not their set: the driver
-//!   activates batch entries in the order the recursive engine would have
-//!   recursed (events in enabled order, ranges in window order, ticks within
-//!   a range in time order), counts merged range widths at the same points,
-//!   and assembles each node's contribution set in the same single pass
-//!   (children deposit into the parent frame's sink). The retained
-//!   recursive engine ([`ExploreEngine::Reference`]) runs the identical
-//!   search through the same batched splitters; the `engine_differential`
-//!   suite pins verdict sets *and* full [`SolverStats`] equality between
-//!   the two across ε sweeps and property suites, and the
-//!   `--abtest` mode of `bench_snapshot` measures the ns/state gap between
-//!   them under interleaved rounds.
+//!   activates batch entries in a fixed order (events in enabled order,
+//!   ranges in window order, ticks within a range in time order), counts
+//!   merged range widths as each entry is activated, and assembles each
+//!   node's contribution set in a single pass (children deposit into the
+//!   parent frame's sink). The brute-force differential suite
+//!   (`tests/differential.rs`) checks the resulting verdict sets against
+//!   explicit trace enumeration across the ε axis, with and without
+//!   solution limits.
 //!
 //! The batch shape itself is pinned: [`SolverStats::frontier_batches`] (one
 //! per `(node, event)` expansion with a non-empty clipped window) and
 //! [`SolverStats::batched_probe_ticks`] (per-tick probes issued through the
-//! batched entry points) are structural counts, identical across engines
-//! and recorded in `BENCH_PINS.json` like every other search-shape counter.
+//! batched entry points) are structural counts, recorded in
+//! `BENCH_PINS.json` like every other search-shape counter.
 //!
 //! The search-shape counters ([`SolverStats`], including the
 //! interval-abstraction counters `time_splits` / `merged_time_points` and
@@ -242,6 +238,6 @@ mod progression;
 
 pub use instance::{CheckResult, Model, SolverInstance};
 pub use progression::{
-    distinct_progressions, exists_verdict, finalize, possible_verdicts, ExploreEngine,
-    InternedProgression, ProgressionQuery, ProgressionResult, SegmentSolver, SolverStats,
+    distinct_progressions, exists_verdict, finalize, possible_verdicts, InternedProgression,
+    ProgressionQuery, ProgressionResult, SegmentSolver, SolverStats,
 };

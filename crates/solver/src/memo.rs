@@ -133,7 +133,8 @@ impl<K: Hash + Eq, V> MemoTable<K, V> {
         }
     }
 
-    /// Convenience single-walk lookup for callers without a completion phase.
+    /// Single-walk lookup (the solver always probes and stages instead).
+    #[cfg(test)]
     pub(crate) fn get(&self, key: &K) -> Option<&V> {
         match self.probe(key) {
             MemoProbe::Hit(ix) => Some(self.value(ix)),

@@ -29,7 +29,7 @@
 //!   the window `[lo, hi]` is *not* branched on once per occurrence time:
 //!   [`Interner::progress_one_over`] partitions the window into maximal
 //!   ranges with one residual each (at most `temporal_horizon + 1` of them,
-//!   independent of ε), and the search recurses once per range. A range whose
+//!   independent of ε), and the search branches once per range. A range whose
 //!   residual is time-invariant collapses to its earliest point — the
 //!   canonical representative of the whole range, because the reachable
 //!   rewrite set of a time-invariant pending formula shrinks monotonically in
@@ -62,28 +62,6 @@ use rvmtl_mtl::{
 use std::collections::BTreeSet;
 use std::mem;
 use std::sync::Arc;
-
-/// Which exploration engine a solver runs.
-///
-/// Both engines execute the *same* search — identical verdict sets and
-/// identical [`SolverStats`] on every input, which the `engine_differential`
-/// suite asserts across ε sweeps and property suites. They
-/// differ only in how the search tree is traversed:
-///
-/// * [`ExploreEngine::WorkStack`] (the default) — the data-oriented core: an
-///   explicit work stack over struct-of-arrays frontier batches, batched
-///   cache probes, pooled per-depth buffers and staged memo slots (see the
-///   crate-level "Data-oriented core" section).
-/// * [`ExploreEngine::Reference`] — the retained recursive explorer, kept as
-///   the differential baseline and the `--abtest` comparison engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ExploreEngine {
-    /// Flat work-stack engine over frontier batches (default).
-    #[default]
-    WorkStack,
-    /// Recursive reference engine (differential baseline).
-    Reference,
-}
 
 /// Generates [`SolverStats`] together with its element-wise combinators from
 /// **one** field list, so a counter added here is automatically covered by
@@ -160,8 +138,8 @@ solver_stats! {
     shift_normalized_nodes,
     /// Number of sibling frontier batches progressed against one event in a
     /// single pass: one per `(search node, enabled event)` pair with a
-    /// non-empty admissible window. Structural — both explore engines count
-    /// the same expansions, so the figure is pinnable.
+    /// non-empty admissible window. A property of the search, not of the
+    /// clock, so the figure is pinnable.
     frontier_batches,
     /// Number of per-tick cache probes issued through the batched splitter
     /// entry points (`progress_one_over_batched` / `progress_gap_over_batched`
@@ -207,8 +185,6 @@ pub struct ProgressionQuery<'a> {
     /// Stop after this many distinct rewritten formulas have been found
     /// (`usize::MAX` for no limit).
     limit: usize,
-    /// Which exploration engine runs the search.
-    engine: ExploreEngine,
 }
 
 impl<'a> ProgressionQuery<'a> {
@@ -220,16 +196,7 @@ impl<'a> ProgressionQuery<'a> {
             comp,
             next_anchor,
             limit: usize::MAX,
-            engine: ExploreEngine::default(),
         }
-    }
-
-    /// Selects the exploration engine (default: [`ExploreEngine::WorkStack`]).
-    /// Both engines produce identical results and statistics; the reference
-    /// engine exists as a differential baseline and A/B comparison point.
-    pub fn with_engine(mut self, engine: ExploreEngine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Limits the number of distinct rewritten formulas to search for; the
@@ -258,7 +225,6 @@ impl<'a> ProgressionQuery<'a> {
         let mut interner = Interner::new();
         let psi = interner.intern(phi);
         let mut engine = Engine::new(self.comp, self.next_anchor, self.limit, &mut interner);
-        engine.mode = self.engine;
         engine.run(psi, &mut |_, _| false);
         let (found, stats) = engine.into_parts();
         ProgressionResult {
@@ -319,14 +285,6 @@ impl<'a, 'i> SegmentSolver<'a, 'i> {
             "SegmentSolver::with_limit: the solution limit must be at least 1"
         );
         self.engine.limit = limit;
-        self
-    }
-
-    /// Selects the exploration engine (default: [`ExploreEngine::WorkStack`]).
-    /// Both engines produce identical results and statistics; the reference
-    /// engine exists as a differential baseline and A/B comparison point.
-    pub fn with_engine(mut self, engine: ExploreEngine) -> Self {
-        self.engine.mode = engine;
         self
     }
 
@@ -405,7 +363,7 @@ pub fn exists_verdict(comp: &DistributedComputation, phi: &Formula, target: bool
 /// A node stands for every admissible pending time of a *range* when the
 /// pending formula is time-invariant or the range sweeps one shift-normal
 /// zone; the canonical representative of such a range is its earliest time
-/// (see [`Engine::explore`]). Nodes are additionally rewritten to their
+/// (see [`Engine::drive`]). Nodes are additionally rewritten to their
 /// *zone representative* before the lookup (see [`Engine::canonical_node`]):
 /// while every live window lies strictly in the future, the pending time is
 /// advanced toward the window anchor and the pending formula translated down
@@ -635,8 +593,6 @@ struct Engine<'a, 'i> {
     caches: SegmentCaches,
     stats: SolverStats,
     found: BTreeSet<FormulaId>,
-    /// Which traversal runs the search (see [`ExploreEngine`]).
-    mode: ExploreEngine,
 }
 
 /// Early-stop predicate over found formulas; receives the arena so it can
@@ -658,29 +614,19 @@ impl<'a, 'i> Engine<'a, 'i> {
             caches: SegmentCaches::new(comp),
             stats: SolverStats::default(),
             found: BTreeSet::new(),
-            mode: ExploreEngine::default(),
         }
     }
 
     /// Explores the full search space for `psi`. Returns `true` if `stop`
-    /// accepted a formula (or the limit was reached) before exhaustion.
+    /// accepted a formula (or the limit was reached) before exhaustion. The
+    /// pooled stack scratch is taken out of the caches for the duration of
+    /// the run so the driver can split its arrays while calling `&mut self`
+    /// methods.
     fn run(&mut self, psi: FormulaId, stop: &mut StopFn<'_>) -> bool {
-        let mut sink = Vec::new();
-        match self.mode {
-            ExploreEngine::WorkStack => self.run_stack(psi, stop, &mut sink),
-            ExploreEngine::Reference => {
-                let initial_cut = Cut::empty(self.comp.process_count());
-                let root = self.caches.ranker.root();
-                self.explore(
-                    &initial_cut,
-                    root,
-                    self.comp.base_time(),
-                    psi,
-                    stop,
-                    &mut sink,
-                )
-            }
-        }
+        let mut scratch = mem::take(&mut self.caches.stack);
+        let stopped = self.drive(&mut scratch, psi, stop);
+        self.caches.stack = scratch;
+        stopped
     }
 
     fn into_parts(self) -> (BTreeSet<FormulaId>, SolverStats) {
@@ -873,20 +819,27 @@ impl<'a, 'i> Engine<'a, 'i> {
         }
     }
 
-    /// Explores the search space rooted at the given node. Every final
-    /// rewritten formula of the subtree is inserted into `self.found` and into
-    /// the caller's `sink` (the parent node's contribution set, assembled in
-    /// this same pass — this is what makes the search single-pass). Returns
-    /// `true` (and stops) as soon as `stop` accepts one of the found formulas
-    /// or the configured limit is reached; a node abandoned early caches
-    /// nothing, so the memo only ever holds complete contribution sets.
+    /// Explores the search space of `psi` from the empty cut at the
+    /// segment's base time, depth first, with an explicit stack of pooled
+    /// [`Frame`]s (one per depth) instead of recursion. A completed node's
+    /// rewritten formulas are inserted into `self.found` and into its parent
+    /// frame's contribution set in the same pass, so the search is
+    /// single-pass. Returns `true` (and stops) as soon as `stop` accepts a
+    /// found formula or the configured limit is reached; a node abandoned
+    /// early memoises nothing (see [`unwind_raw`]), so the memo only ever
+    /// holds complete contribution sets.
+    ///
+    /// Siblings are activated in a fixed order — events in enabled order,
+    /// ranges in window order, ticks within a range in time order — so the
+    /// formulas a limit keeps and every [`SolverStats`] counter are
+    /// deterministic.
     ///
     /// # Time-interval abstraction and shift-normal zones
     ///
     /// The admissible occurrence times of an enabled event are *not* branched
     /// on one tick at a time. The window is partitioned by
     /// [`Interner::progress_one_over`] into maximal [`rvmtl_mtl::SplitRange`]s,
-    /// and each range contributes:
+    /// and each range becomes:
     ///
     /// * **one** child node at the range's earliest time when the residual is
     ///   time-invariant ([`Interner::is_time_invariant`]). This is sound and
@@ -911,178 +864,9 @@ impl<'a, 'i> Engine<'a, 'i> {
     /// * one child node per tick otherwise (the residual still holds a live
     ///   open bounded interval, so different pending times genuinely differ)
     ///   — but the residual itself is computed once per range, not per tick.
-    fn explore(
-        &mut self,
-        cut: &Cut,
-        rank: u128,
-        pending_time: u64,
-        psi: FormulaId,
-        stop: &mut StopFn<'_>,
-        sink: &mut Vec<FormulaId>,
-    ) -> bool {
-        if self.found.len() >= self.limit {
-            return true;
-        }
-        // Rewrite to the zone representative first: translates of one
-        // obligation share a single memo entry and a single subtree.
-        let (pending_time, psi) = self.canonical_node(cut, rank, pending_time, psi);
-        let key: NodeKey = (rank, pending_time, psi);
-        if let Some(cached) = self.caches.memo.get(&key) {
-            self.stats.memo_hits += 1;
-            sink.extend(cached.iter().copied());
-            // Field-disjoint borrows: the cached slice lives in
-            // `self.caches`, the replay touches only `found`/`interner`.
-            let (found, interner, limit) = (&mut self.found, &mut *self.interner, self.limit);
-            for &f in cached.iter() {
-                let hit = stop(interner, f);
-                found.insert(f);
-                if hit || found.len() >= limit {
-                    return true;
-                }
-            }
-            return false;
-        }
-        self.stats.explored_states += 1;
-        let mut local: Vec<FormulaId> = Vec::new();
-        let mut stopped = false;
-
-        if psi.is_constant() && self.can_complete(cut, rank, pending_time) {
-            // The verdict can no longer change: every feasible extension
-            // produces the same rewritten formula.
-            self.stats.constant_cutoffs += 1;
-            local.push(psi);
-        } else if psi.is_constant() {
-            // Dead branch: the remaining events cannot be scheduled, so this
-            // partial interleaving corresponds to no trace at all.
-        } else if cut.is_full(self.comp) {
-            self.stats.completed_sequences += 1;
-            let final_formula = self.step(cut, rank, pending_time, psi, self.next_anchor);
-            local.push(final_formula);
-        } else {
-            let enabled = self.enabled(cut, rank);
-            'outer: for &event in enabled.iter() {
-                let (lo, hi) = self.comp.time_window(event);
-                let lo = lo.max(pending_time);
-                if lo > hi {
-                    continue;
-                }
-                let next_cut = cut.extended(self.comp, event);
-                let next_rank =
-                    self.caches
-                        .ranker
-                        .child(rank, &next_cut, self.comp.event(event).process.0);
-                // One batched splitter call per (node, event): the cache
-                // probes for the whole admissible window are issued as one
-                // contiguous walk, misses resolved together.
-                let mut splits: Vec<SplitRange> = Vec::new();
-                let probes = if cut.size() == 0 {
-                    // No observation is pending yet: only time has passed
-                    // since the formula's (canonical) anchor.
-                    self.interner.progress_gap_over_batched(
-                        psi,
-                        pending_time,
-                        lo,
-                        hi,
-                        &mut self.caches.probe,
-                        &mut splits,
-                    )
-                } else {
-                    let key = self.frontier(cut, rank);
-                    self.interner.progress_one_over_batched(
-                        key,
-                        pending_time,
-                        psi,
-                        lo,
-                        hi,
-                        &mut self.caches.probe,
-                        &mut splits,
-                    )
-                };
-                self.stats.frontier_batches += 1;
-                self.stats.batched_probe_ticks += probes;
-                self.stats.time_splits += splits.len();
-                for range in splits {
-                    let collapse = range.kind == RangeKind::Translated
-                        || self.interner.is_time_invariant(range.residual);
-                    if collapse {
-                        // The whole range is subsumed by its earliest time
-                        // (see the method documentation).
-                        self.stats.merged_time_points += (range.hi - range.lo) as usize;
-                        stopped |= self.explore(
-                            &next_cut,
-                            next_rank,
-                            range.lo,
-                            range.residual,
-                            stop,
-                            &mut local,
-                        );
-                        if stopped {
-                            break 'outer;
-                        }
-                    } else {
-                        for t in range.lo..=range.hi {
-                            stopped |= self.explore(
-                                &next_cut,
-                                next_rank,
-                                t,
-                                range.residual,
-                                stop,
-                                &mut local,
-                            );
-                            if stopped {
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-            }
-            if stopped {
-                // Partial exploration: surface what was found but do not
-                // memoise an incomplete set.
-                sink.extend(local.iter().copied());
-                return true;
-            }
-        }
-
-        // Children of different events/time ranges may have contributed the
-        // same rewritten formula; canonicalise once per node.
-        local.sort_unstable();
-        local.dedup();
-        for &f in &local {
-            if stop(self.interner, f) {
-                stopped = true;
-            }
-            self.found.insert(f);
-        }
-        sink.extend(local.iter().copied());
-        self.caches.memo.insert(key, local.into());
-        stopped || self.found.len() >= self.limit
-    }
-
-    /// Work-stack traversal: the same search as [`Engine::explore`] (same
-    /// visit order, same stats, same memo content) driven by an explicit
-    /// stack of pooled [`Frame`]s instead of recursion. The scratch is taken
-    /// out of the caches for the duration of the run so the driver can split
-    /// its arrays while calling `&mut self` methods.
-    fn run_stack(
-        &mut self,
-        psi: FormulaId,
-        stop: &mut StopFn<'_>,
-        sink: &mut Vec<FormulaId>,
-    ) -> bool {
-        let mut scratch = mem::take(&mut self.caches.stack);
-        let stopped = self.drive(&mut scratch, psi, stop, sink);
-        self.caches.stack = scratch;
-        stopped
-    }
-
-    fn drive(
-        &mut self,
-        scratch: &mut StackScratch,
-        psi: FormulaId,
-        stop: &mut StopFn<'_>,
-        sink: &mut Vec<FormulaId>,
-    ) -> bool {
+    fn drive(&mut self, scratch: &mut StackScratch, psi: FormulaId, stop: &mut StopFn<'_>) -> bool {
+        // The root's contribution set has no parent; it lands here.
+        let mut sink = Vec::new();
         let process_count = self.comp.process_count();
         scratch.ensure_levels(0, process_count);
         let root_rank = self.caches.ranker.root();
@@ -1090,7 +874,9 @@ impl<'a, 'i> Engine<'a, 'i> {
         {
             let root_cut = &scratch.cuts[0];
             let root_frame = &mut scratch.frames[0];
-            match self.activate(root_cut, root_rank, base_time, psi, stop, sink, root_frame) {
+            match self.activate(
+                root_cut, root_rank, base_time, psi, stop, &mut sink, root_frame,
+            ) {
                 Activation::Finished(stopped) => return stopped,
                 Activation::Descended => {}
             }
@@ -1113,8 +899,8 @@ impl<'a, 'i> Engine<'a, 'i> {
                 if frame.child_ix < frame.batch_times.len() {
                     // Phase A: activate the next sibling of the current
                     // batch. The range width it canonically represents is
-                    // accounted before activation, exactly where the
-                    // recursive engine counts it.
+                    // counted on activation, so siblings skipped by an
+                    // early stop are never counted.
                     let i = frame.child_ix;
                     frame.child_ix += 1;
                     self.stats.merged_time_points += frame.batch_merged[i] as usize;
@@ -1181,7 +967,7 @@ impl<'a, 'i> Engine<'a, 'i> {
                                 || self.interner.is_time_invariant(range.residual);
                             if collapse {
                                 // The whole range is subsumed by its
-                                // earliest time (see [`Engine::explore`]).
+                                // earliest time (see the method documentation).
                                 frame.batch_times.push(range.lo);
                                 frame.batch_ids.push(range.residual);
                                 frame.batch_merged.push(range.hi - range.lo);
@@ -1201,7 +987,7 @@ impl<'a, 'i> Engine<'a, 'i> {
                     let key: NodeKey = (frame.rank, frame.time, frame.psi);
                     let parent_sink: &mut Vec<FormulaId> = match frames_above.last_mut() {
                         Some(parent) => &mut parent.local,
-                        None => &mut *sink,
+                        None => &mut sink,
                     };
                     let stopped =
                         self.finish_node(key, frame.slot, &mut frame.local, parent_sink, stop);
@@ -1220,22 +1006,22 @@ impl<'a, 'i> Engine<'a, 'i> {
                 Action::Pop => depth -= 1,
                 Action::Return(stopped) => return stopped,
                 Action::Unwind => {
-                    unwind_raw(scratch, depth, sink);
+                    unwind_raw(scratch, depth, &mut sink);
                     return true;
                 }
                 Action::PopUnwind => {
                     depth -= 1;
-                    unwind_raw(scratch, depth, sink);
+                    unwind_raw(scratch, depth, &mut sink);
                     return true;
                 }
             }
         }
     }
 
-    /// Activates a search node in the work-stack engine: the limit check,
-    /// zone canonicalisation, staged memo probe and leaf resolution of
-    /// [`Engine::explore`], in the same order. Interior nodes initialise
-    /// `frame` in place and descend.
+    /// Activates a search node: the limit check, zone canonicalisation,
+    /// staged memo probe and leaf resolution, in that order (a node activated
+    /// after the limit is reached counts nothing). Leaves finish here;
+    /// interior nodes initialise `frame` in place and descend.
     #[allow(clippy::too_many_arguments)]
     fn activate(
         &mut self,
@@ -1314,9 +1100,8 @@ impl<'a, 'i> Engine<'a, 'i> {
 
     /// Completes a node: canonicalises its contribution set, scans it
     /// against `stop`/`found`, hands it to the parent's sink and redeems the
-    /// staged memo slot. Mirrors the tail of [`Engine::explore`] exactly
-    /// (including scanning the full set even after a stop hit — the set is
-    /// complete, so it is memoised either way).
+    /// staged memo slot. The full set is scanned even after a stop hit: it is
+    /// complete, so it is memoised either way.
     fn finish_node(
         &mut self,
         key: NodeKey,
@@ -1342,10 +1127,10 @@ impl<'a, 'i> Engine<'a, 'i> {
     }
 }
 
-/// Drains the raw (unsorted, unmemoised) contribution sets from `from` down
-/// to the root into `sink` — the work-stack analog of the recursive engine's
-/// early-stop path, where every ancestor surfaces what was found so far but
-/// memoises nothing (its set is incomplete).
+/// The early-stop path: drains the raw (unsorted, unmemoised) contribution
+/// sets from `from` down to the root into `sink`. Every ancestor surfaces
+/// what was found so far but memoises nothing, because its set is
+/// incomplete.
 fn unwind_raw(scratch: &mut StackScratch, from: usize, sink: &mut Vec<FormulaId>) {
     let mut depth = from;
     loop {
@@ -1563,38 +1348,15 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_results_and_stats() {
+    fn batched_probe_counters_fire_on_fig3() {
         let comp = fig3(2);
         for text in ["a U[0,6) b", "G[0,10) (a | b)", "F[0,3) b"] {
             let phi = parse(text).unwrap();
-            let work_stack = ProgressionQuery::new(&comp, 10)
-                .with_engine(ExploreEngine::WorkStack)
-                .distinct_progressions(&phi);
-            let reference = ProgressionQuery::new(&comp, 10)
-                .with_engine(ExploreEngine::Reference)
-                .distinct_progressions(&phi);
-            assert_eq!(work_stack.formulas, reference.formulas, "formulas: {text}");
-            assert_eq!(work_stack.stats, reference.stats, "stats: {text}");
-            assert!(work_stack.stats.frontier_batches > 0, "batches: {text}");
-            assert!(work_stack.stats.batched_probe_ticks > 0, "probes: {text}");
-        }
-    }
-
-    #[test]
-    fn engines_agree_under_limit_stop() {
-        let comp = fig3(3);
-        let phi = parse("a U[0,6) b").unwrap();
-        for limit in 1..=3usize {
-            let work_stack = ProgressionQuery::new(&comp, 10)
-                .with_limit(limit)
-                .with_engine(ExploreEngine::WorkStack)
-                .distinct_progressions(&phi);
-            let reference = ProgressionQuery::new(&comp, 10)
-                .with_limit(limit)
-                .with_engine(ExploreEngine::Reference)
-                .distinct_progressions(&phi);
-            assert_eq!(work_stack.formulas, reference.formulas, "limit {limit}");
-            assert_eq!(work_stack.stats, reference.stats, "limit {limit}");
+            let stats = ProgressionQuery::new(&comp, 10)
+                .distinct_progressions(&phi)
+                .stats;
+            assert!(stats.frontier_batches > 0, "batches: {text}");
+            assert!(stats.batched_probe_ticks > 0, "probes: {text}");
         }
     }
 

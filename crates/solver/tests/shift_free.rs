@@ -4,7 +4,8 @@
 //! unrelated delayed-window node) must produce bit-identical [`SolverStats`]
 //! and verdict sets. This pins the tentpole claim of the NodeMeta/watermark
 //! optimisation — it removes the shift-normal tax, it does not change the
-//! search — on PRNG-generated shift-free specifications.
+//! search — on PRNG-generated shift-free specifications. The same holds for
+//! the arena's progression caches: a warm arena repeats a cold run exactly.
 
 use rvmtl_distrib::{ComputationBuilder, DistributedComputation};
 use rvmtl_mtl::testgen::{gen_formula, GenConfig};
@@ -145,4 +146,42 @@ fn watermark_flip_and_compact_leave_queries_unchanged() {
     let (stats_rearmed, verdicts_rearmed) = solve(&mut arena, &comp, &phi);
     assert_eq!(stats_down.explored_states, stats_rearmed.explored_states);
     assert_eq!(verdicts_down, verdicts_rearmed);
+}
+
+/// Arena warmth is invisible to the search: progressing the same formula
+/// twice through fresh `SegmentSolver`s over one `Interner` — the first run
+/// on a cold arena, the second on the caches it left behind — yields
+/// identical rewritten-formula ids and identical full `SolverStats`. The
+/// second runs must actually find the arena warm (fewer progression-cache
+/// misses than the cold runs), or the comparison would be vacuous.
+#[test]
+fn warm_arena_repeats_ids_and_stats() {
+    let formulas = shift_free_formulas(24, 0xE9D3);
+    let (mut cold_misses, mut warm_misses) = (0u64, 0u64);
+    for epsilon in [1u64, 2, 4, 8] {
+        let comp = fixture(epsilon);
+        let anchor = comp.max_local_time() + comp.epsilon();
+        for phi in &formulas {
+            let mut arena = Interner::new();
+            let psi = arena.intern(phi);
+            let before = arena.cache_stats().misses();
+            let cold = SegmentSolver::new(&comp, anchor, &mut arena).progress(psi);
+            let between = arena.cache_stats().misses();
+            let warm = SegmentSolver::new(&comp, anchor, &mut arena).progress(psi);
+            cold_misses += between - before;
+            warm_misses += arena.cache_stats().misses() - between;
+            assert_eq!(
+                cold.formulas, warm.formulas,
+                "phi = {phi}, eps = {epsilon}: rewritten ids"
+            );
+            assert_eq!(
+                cold.stats, warm.stats,
+                "phi = {phi}, eps = {epsilon}: SolverStats"
+            );
+        }
+    }
+    assert!(
+        warm_misses < cold_misses,
+        "the second runs never found a warm cache"
+    );
 }
